@@ -62,15 +62,19 @@ def make_rng(*entropy: int) -> np.random.Generator:
 
 @dataclass(slots=True)
 class Individual:
-    """A selection with cached objectives and trace metadata."""
+    """A selection with its cached objectives.
+
+    ``covered`` is the read-only covered mask of a feasible selection, from
+    which a child's coverage is updated; it is None when the selection is
+    infeasible or was never scored.
+    """
 
     bits: np.ndarray
     size: int
     expected: float
     g1: float
     g2: float
-    born_at: int = 0
-    parent_in_window: bool = False
+    covered: np.ndarray | None = None
 
     @property
     def obj(self) -> Objectives:
@@ -196,16 +200,34 @@ def standard_bit_mutation(x: np.ndarray, rng: np.random.Generator) -> np.ndarray
 def _spawn_child(
     parent: Individual, pos: np.ndarray, expected_arr: np.ndarray
 ) -> tuple[np.ndarray, int, float]:
-    """Child bits and incrementally-updated (size, expected) after flips."""
+    """Child bits and incrementally-updated (size, expected) after flips.
+
+    The integer means and +1/-1 signs keep ``expected`` an exact sum.
+    """
     bits = parent.bits.copy()
     old = bits[pos]
-    bits[pos] ^= 1
-    flipped_on = int(len(pos) - old.sum())
-    size = parent.size + flipped_on - (len(pos) - flipped_on)
-    expected = parent.expected + float(
-        expected_arr[pos[old == 0]].sum() - expected_arr[pos[old == 1]].sum()
-    )
+    bits[pos] = old ^ 1
+    sign = _FLIP_SIGN[old]
+    size = parent.size + int(sign.sum())
+    expected = parent.expected + float(expected_arr[pos] @ sign)
     return bits, size, expected
+
+
+_FLIP_SIGN = np.array([1, -1], dtype=np.int64)
+
+
+def _offspring(
+    evaluator: Evaluator, parent: Individual, pos: np.ndarray, expected_arr: np.ndarray
+) -> Individual:
+    """Scored child of ``parent`` with ``pos`` flipped.
+
+    Its coverage is updated from the parent's covered mask when the parent
+    has one, and computed from scratch otherwise.
+    """
+    bits, size, expected = _spawn_child(parent, pos, expected_arr)
+    g1, g2, covered = evaluator.evaluate_from_stats(bits, size, expected, parent.covered, pos)
+    bits.setflags(write=False)
+    return Individual(bits=bits, size=size, expected=expected, g1=g1, g2=g2, covered=covered)
 
 
 # ---------------------------------------------------------------------------
@@ -395,8 +417,8 @@ class _TraceBuffer:
 def _empty_individual(evaluator: Evaluator, n: int) -> Individual:
     bits = np.zeros(n, dtype=np.uint8)
     bits.setflags(write=False)
-    obj = evaluator.evaluate_from_stats(bits, 0, 0.0)
-    return Individual(bits=bits, size=0, expected=0.0, g1=obj.g1, g2=obj.g2)
+    g1, g2, covered = evaluator.evaluate_from_stats(bits, 0, 0.0)
+    return Individual(bits=bits, size=0, expected=0.0, g1=g1, g2=g2, covered=covered)
 
 
 def _run_archive_loop(instance: Instance, cfg: RunConfig, sliding: bool) -> RunResult:
@@ -421,31 +443,12 @@ def _run_archive_loop(instance: Instance, cfg: RunConfig, sliding: bool) -> RunR
             parent, in_window, occ = archive.uniform_member(rng), False, 0
         pos = _mutation_positions(n, rng)
         if len(pos) == 0:
-            # Offspring identical to parent: objectives carry over, but the
-            # iteration still counts as one evaluation.
-            child = Individual(
-                bits=parent.bits,
-                size=parent.size,
-                expected=parent.expected,
-                g1=parent.g1,
-                g2=parent.g2,
-                born_at=t,
-                parent_in_window=in_window,
-            )
+            # Offspring identical to parent: re-inserting the parent changes
+            # nothing, but the iteration still counts as one evaluation.
+            child = parent
             evaluator.evaluations += 1
         else:
-            bits, size, expected = _spawn_child(parent, pos, expected_arr)
-            obj = evaluator.evaluate_from_stats(bits, size, expected)
-            bits.setflags(write=False)
-            child = Individual(
-                bits=bits,
-                size=size,
-                expected=expected,
-                g1=obj.g1,
-                g2=obj.g2,
-                born_at=t,
-                parent_in_window=in_window,
-            )
+            child = _offspring(evaluator, parent, pos, expected_arr)
         accepted = archive.insert(child)
         if child.g1 > best.g1:
             best = child
@@ -568,53 +571,29 @@ def run_nsga2(instance: Instance, cfg: RunConfig) -> RunResult:
 
     crossover_rate = 0.9
     generations = cfg.t_max // lam
-    for gen in range(1, generations + 1):
+    for _ in range(generations):
         children: list[Individual] = []
         parents_a = _tournament(rank, crowd, rng, lam)
         parents_b = _tournament(rank, crowd, rng, lam)
         do_cross = rng.random(lam) < crossover_rate
         for i in range(lam):
-            p1 = population[parents_a[i]]
+            p1 = base = population[parents_a[i]]
             if do_cross[i]:
                 p2 = population[parents_b[i]]
-                bits = p1.bits.copy()
                 diff = np.flatnonzero(p1.bits != p2.bits)
                 take = diff[rng.random(len(diff)) < 0.5]
-                bits[take] = p2.bits[take]
-                old = p1.bits[take]
-                gained = int(len(take) - old.sum())
-                size = p1.size + gained - (len(take) - gained)
-                expected = p1.expected + float(
-                    expected_arr[take[old == 0]].sum() - expected_arr[take[old == 1]].sum()
-                )
-                base = Individual(bits=bits, size=size, expected=expected, g1=0.0, g2=0.0)
-            else:
-                base = p1
+                if len(take):
+                    # Uniform crossover flips p1's bits where p2's are taken.
+                    # The result has no covered mask, so its coverage is
+                    # recomputed.
+                    bits, size, expected = _spawn_child(p1, take, expected_arr)
+                    base = Individual(bits=bits, size=size, expected=expected, g1=0.0, g2=0.0)
             pos = _mutation_positions(n, rng)
             if len(pos) == 0 and base is p1:
-                child = Individual(
-                    bits=p1.bits, size=p1.size, expected=p1.expected,
-                    g1=p1.g1, g2=p1.g2, born_at=gen,
-                )
+                child = p1
                 evaluator.evaluations += 1
             else:
-                if base is p1:
-                    bits, size, expected = _spawn_child(p1, pos, expected_arr)
-                else:
-                    bits, size, expected = base.bits, base.size, base.expected
-                    old = bits[pos]
-                    bits[pos] ^= 1
-                    gained = int(len(pos) - old.sum())
-                    size += gained - (len(pos) - gained)
-                    expected += float(
-                        expected_arr[pos[old == 0]].sum() - expected_arr[pos[old == 1]].sum()
-                    )
-                obj = evaluator.evaluate_from_stats(bits, size, expected)
-                bits.setflags(write=False)
-                child = Individual(
-                    bits=bits, size=size, expected=expected,
-                    g1=obj.g1, g2=obj.g2, born_at=gen,
-                )
+                child = _offspring(evaluator, base, pos, expected_arr)
             if child.g1 > best.g1:
                 best = child
             children.append(child)

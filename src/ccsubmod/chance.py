@@ -29,12 +29,13 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import coverage_of_indices
+from .graphs import coverage_of_indices, update_coverage
 from .problem import Instance, SurrogateKind, WeightModel
 
 __all__ = [
     "G2Regime",
     "Objectives",
+    "Scored",
     "expected_weight",
     "weight_variance",
     "surrogate_weight",
@@ -67,6 +68,14 @@ class G2Regime(enum.Enum):
 class Objectives(NamedTuple):
     g1: float
     g2: float
+
+
+class Scored(NamedTuple):
+    """Objectives plus the covered mask they came from (None if infeasible)."""
+
+    g1: float
+    g2: float
+    covered: np.ndarray | None
 
 
 def _check_length(x: np.ndarray, n: int) -> np.ndarray:
@@ -156,23 +165,41 @@ class Evaluator:
     def surrogate_from(self, expected: float, size: int) -> float:
         return expected + self.tail_coefficient * math.sqrt(size)
 
-    def evaluate_from_stats(self, bits: np.ndarray, size: int, expected: float) -> Objectives:
-        """Score a selection whose size and expected weight are already known.
+    def evaluate_from_stats(
+        self,
+        bits: np.ndarray,
+        size: int,
+        expected: float,
+        parent_covered: np.ndarray | None = None,
+        flipped: np.ndarray | None = None,
+    ) -> Scored:
+        """Score a 0/1 uint8 selection whose size and expected weight are known.
 
         ``expected`` must equal the exact integer sum of selected means (the
         optimizers maintain it incrementally; integer arithmetic in float64
-        keeps it exact).
+        keeps it exact). When ``bits`` is a parent's selection with the
+        positions ``flipped`` flipped, passing the parent's covered mask as
+        ``parent_covered`` updates coverage from it; otherwise coverage is
+        computed from scratch. The returned mask is read-only.
         """
         self.evaluations += 1
         sg = self.surrogate_from(expected, size)
-        if sg > self.budget:
-            g1 = INFEASIBLE_G1
-        else:
-            g1 = float(coverage_of_indices(self.graph, np.flatnonzero(bits)))
         g2 = sg if self.regime is G2Regime.SURROGATE else expected
-        return Objectives(g1, g2)
+        if sg > self.budget:
+            return Scored(INFEASIBLE_G1, g2, None)
+        if parent_covered is None:
+            covered = np.zeros(self.graph.n, dtype=bool)
+            g1 = coverage_of_indices(self.graph, bits.view(np.bool_).nonzero()[0], covered)
+        else:
+            covered = parent_covered.copy()
+            update_coverage(self.graph, covered, bits, flipped)
+            g1 = int(np.count_nonzero(covered))
+        covered.setflags(write=False)
+        return Scored(float(g1), g2, covered)
 
     def evaluate_bits(self, x: np.ndarray) -> Objectives:
         x = _check_length(x, self.model.n)
-        idx = np.flatnonzero(x)
-        return self.evaluate_from_stats(x, len(idx), float(self.model.expected[idx].sum()))
+        bits = (x != 0).view(np.uint8)
+        idx = np.flatnonzero(bits)
+        g1, g2, _ = self.evaluate_from_stats(bits, len(idx), float(self.model.expected[idx].sum()))
+        return Objectives(g1, g2)

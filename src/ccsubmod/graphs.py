@@ -3,8 +3,14 @@
 Graphs come from plain edge lists or Matrix-Market coordinate files (the
 formats used by the network data repository). Node ids are normalized to
 0-based indices. Each node's closed neighborhood (the node plus its
-neighbors) is precomputed as a packed 64-bit bitset row so that the coverage
-value of a selection is one OR-reduction plus a popcount.
+neighbors) is one row of a CSR array, with the node itself first, so its
+open neighborhood is the rest of the row.
+
+Coverage is held as a covered mask: one bool per node, True when some
+selected node's row contains it. A full computation marks the rows of all
+selected nodes. An update after a few bit flips marks the rows of added
+nodes and rechecks the row of each removed node, so it costs the rows
+around the flipped nodes instead of the whole selection.
 """
 
 from __future__ import annotations
@@ -14,7 +20,15 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["Graph", "GraphFormatError", "load_graph", "save_edge_list", "coverage_count"]
+__all__ = [
+    "Graph",
+    "GraphFormatError",
+    "load_graph",
+    "save_edge_list",
+    "coverage_count",
+    "coverage_of_indices",
+    "update_coverage",
+]
 
 
 class GraphFormatError(ValueError):
@@ -26,21 +40,22 @@ _COMMENT_PREFIXES = ("%", "#")
 
 @dataclass(frozen=True)
 class Graph:
-    """Immutable undirected graph with precomputed closed-neighborhood bitsets.
+    """Immutable undirected graph stored as CSR closed neighborhoods.
 
     Attributes:
         n: number of nodes (0-based ids 0..n-1; isolated trailing nodes are
            retained when declared by a size header).
-        adjacency: per-node sorted arrays of neighbor ids (no self loops).
-        degrees: per-node degree, ``len(adjacency[v])``.
-        closed_bits: uint64 array of shape (n, ceil(n/64)); row v has bit u
-            set iff u == v or {u, v} is an edge.
+        indptr: int64 array of length n + 1; row v is
+            ``indices[indptr[v]:indptr[v + 1]]``.
+        indices: int64 array of length n + 2m; row v holds v itself, then
+            its neighbors in ascending order (no self loops).
+        degrees: per-node degree, one less than the row length.
     """
 
     n: int
-    adjacency: tuple[np.ndarray, ...]
+    indptr: np.ndarray = field(repr=False)
+    indices: np.ndarray = field(repr=False)
     degrees: np.ndarray
-    closed_bits: np.ndarray = field(repr=False)
 
     @classmethod
     def from_edges(cls, n: int, edges: np.ndarray) -> "Graph":
@@ -62,43 +77,35 @@ class Graph:
         both_src = np.concatenate([u, v])
         both_dst = np.concatenate([v, u])
         order = np.lexsort((both_dst, both_src))
-        both_src, both_dst = both_src[order], both_dst[order]
-        counts = np.bincount(both_src, minlength=n)
-        both_dst.setflags(write=False)
-        adjacency = tuple(np.split(both_dst, np.cumsum(counts)[:-1]))
-        degrees = counts.astype(np.int64)
-
-        words = (n + 63) // 64
-        closed = np.zeros((n, words), dtype=np.uint64)
-        rows = np.concatenate([np.arange(n, dtype=np.int64), both_src])
-        cols = np.concatenate([np.arange(n, dtype=np.int64), both_dst])
-        np.bitwise_or.at(
-            closed,
-            (rows, cols >> 6),
-            np.uint64(1) << (cols & 63).astype(np.uint64),
-        )
-        closed.setflags(write=False)
-        degrees.setflags(write=False)
-        return cls(n=n, adjacency=adjacency, degrees=degrees, closed_bits=closed)
+        degrees = np.bincount(both_src, minlength=n).astype(np.int64)
+        open_starts = np.zeros(n + 1, dtype=np.int64)
+        np.cumsum(degrees, out=open_starts[1:])
+        ids = np.arange(n + 1, dtype=np.int64)
+        # Each node goes in front of its own neighbors.
+        indices = np.insert(both_dst[order], open_starts[:-1], ids[:-1])
+        indptr = open_starts + ids
+        for a in (indptr, indices, degrees):
+            a.setflags(write=False)
+        return cls(n=n, indptr=indptr, indices=indices, degrees=degrees)
 
     @property
     def num_edges(self) -> int:
         return int(self.degrees.sum()) // 2
 
+    def neighbors(self, v: int) -> np.ndarray:
+        """Sorted neighbor ids of v (without v)."""
+        return self.indices[self.indptr[v] + 1 : self.indptr[v + 1]]
+
     def edge_array(self) -> np.ndarray:
         """All edges as (m, 2) array with u < v, sorted lexicographically."""
-        out = []
-        for u, nbrs in enumerate(self.adjacency):
-            higher = nbrs[nbrs > u]
-            if higher.size:
-                out.append(np.column_stack([np.full(higher.size, u, dtype=np.int64), higher]))
-        if not out:
-            return np.empty((0, 2), dtype=np.int64)
-        return np.concatenate(out)
+        src = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
+        dst = np.delete(self.indices, self.indptr[:-1])
+        higher = dst > src
+        return np.column_stack([src[higher], dst[higher]])
 
     def closed_neighborhood(self, v: int) -> np.ndarray:
         """Sorted node ids of v's closed neighborhood ({v} plus neighbors)."""
-        return np.union1d(np.array([v], dtype=np.int64), self.adjacency[v])
+        return np.sort(self.indices[self.indptr[v] : self.indptr[v + 1]])
 
 
 def _parse_pairs(path: Path) -> tuple[list[tuple[int, int]], int | None, bool]:
@@ -207,9 +214,44 @@ def coverage_count(graph: Graph, selection: np.ndarray) -> int:
     return coverage_of_indices(graph, idx)
 
 
-def coverage_of_indices(graph: Graph, idx: np.ndarray) -> int:
-    """Coverage value for an explicit array of selected node ids."""
-    if len(idx) == 0:
-        return 0
-    agg = np.bitwise_or.reduce(graph.closed_bits[idx], axis=0)
-    return int(np.bitwise_count(agg).sum())
+def _rows(graph: Graph, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The closed rows of ``nodes`` back to back, and where each row starts."""
+    row_ends = graph.indptr[nodes + 1]
+    lengths = row_ends - graph.indptr[nodes]
+    ends = np.cumsum(lengths)
+    positions = np.arange(ends[-1]) + np.repeat(row_ends - ends, lengths)
+    return graph.indices[positions], ends - lengths
+
+
+def coverage_of_indices(graph: Graph, idx: np.ndarray, out: np.ndarray | None = None) -> int:
+    """Coverage value for an explicit array of selected node ids.
+
+    ``out``, when given, is an all-False bool array of length ``graph.n``
+    that receives the covered mask.
+    """
+    covered = np.zeros(graph.n, dtype=bool) if out is None else out
+    if len(idx):
+        covered[_rows(graph, idx)[0]] = True
+    return int(np.count_nonzero(covered))
+
+
+def update_coverage(graph: Graph, covered: np.ndarray, bits: np.ndarray, flipped: np.ndarray) -> None:
+    """Turn a parent's covered mask into its child's, in place.
+
+    ``bits`` is the child's 0/1 selection (uint8) and ``flipped`` the
+    positions in which it differs from the parent. An added node covers its
+    row. A node in the row of a removed node stays covered only if its own
+    row still holds a selected node.
+    """
+    indptr, indices = graph.indptr, graph.indices
+    lost = []
+    for v in flipped.tolist():
+        row = indices[indptr[v] : indptr[v + 1]]
+        if bits[v]:
+            covered[row] = True
+        else:
+            lost.append(row)
+    if lost:
+        recheck = lost[0] if len(lost) == 1 else np.concatenate(lost)
+        around, offsets = _rows(graph, recheck)
+        covered[recheck] = np.maximum.reduceat(bits[around], offsets)

@@ -13,6 +13,11 @@ import math
 import numpy as np
 
 
+def adjacency_lists(graph) -> list[list[int]]:
+    """Per-node neighbor lists of a graph, as plain python ints."""
+    return [[int(u) for u in graph.neighbors(v)] for v in range(graph.n)]
+
+
 def naive_coverage(adjacency: list, selection) -> int:
     """Coverage by explicit union of python sets."""
     covered: set[int] = set()
@@ -43,7 +48,7 @@ def naive_objectives(bits, adjacency, expected, d, alpha, budget, kind, regime) 
 def exhaustive_optimum(instance, regime: str = "surrogate-g2") -> tuple[float, tuple]:
     """Best feasible coverage over all 2^n subsets (n must be small)."""
     n = instance.graph.n
-    adjacency = [list(a) for a in instance.graph.adjacency]
+    adjacency = adjacency_lists(instance.graph)
     expected = list(instance.weights.expected)
     best, best_bits = 0.0, tuple([0] * n)
     for bits in itertools.product((0, 1), repeat=n):

@@ -264,3 +264,57 @@ class TestFastNondominatedSort:
         dist = crowding_distance(g1, g2, front)
         assert math.isinf(dist[0]) and math.isinf(dist[3])
         assert dist[1] == pytest.approx(dist[2])
+
+
+class TestCoverageMasks:
+    """Every scored offspring's covered mask matches a full recomputation."""
+
+    def run_checked(self, monkeypatch, algorithm, **cfg):
+        from ccsubmod import algorithms
+        from ccsubmod.graphs import coverage_of_indices
+        from oracles import adjacency_lists, naive_coverage
+
+        inst = small_instance(seed=21, n=30, budget=9.0, weights="degree")
+        adjacency = adjacency_lists(inst.graph)
+        parents_without_mask = []
+        original = algorithms._offspring
+
+        def checked(evaluator, parent, pos, expected_arr):
+            child = original(evaluator, parent, pos, expected_arr)
+            parents_without_mask.append(parent.covered is None)
+            if child.g1 >= 0:
+                full = np.zeros(inst.graph.n, dtype=bool)
+                count = coverage_of_indices(inst.graph, np.flatnonzero(child.bits), full)
+                assert np.array_equal(child.covered, full)
+                assert child.g1 == count == naive_coverage(adjacency, child.bits)
+            else:
+                assert child.covered is None
+            return child
+
+        monkeypatch.setattr(algorithms, "_offspring", checked)
+        run(inst, RunConfig(algorithm=algorithm, t_max=3_000, seed=5, **cfg))
+        return parents_without_mask
+
+    @pytest.mark.parametrize("algorithm", ["gsemo", "sw-gsemo"])
+    def test_archive_offspring_come_from_parent_masks(self, monkeypatch, algorithm):
+        # Infeasible selections never enter the archive, so every parent has a mask.
+        assert not any(self.run_checked(monkeypatch, algorithm))
+
+    def test_nsga2_crossover_and_maskless_parents(self, monkeypatch):
+        flags = self.run_checked(monkeypatch, "nsga2", population=20, children=10)
+        assert any(flags) and not all(flags)
+
+    def test_crossover_child_recomputed_from_scratch(self):
+        from ccsubmod.algorithms import _offspring, _spawn_child
+        from ccsubmod.chance import Evaluator
+
+        inst = small_instance(seed=22, n=20, budget=12.0)
+        ev = Evaluator(inst)
+        p1 = Individual(bits=np.zeros(20, dtype=np.uint8), size=0, expected=0.0, g1=0.0, g2=0.0)
+        bits, size, expected = _spawn_child(p1, np.array([1, 4, 9]), inst.weights.expected)
+        base = Individual(bits=bits, size=size, expected=expected, g1=0.0, g2=0.0)
+        child = _offspring(ev, base, np.array([4, 7]), inst.weights.expected)
+        want = ev.evaluate_bits(child.bits)
+        assert (child.size, child.expected) == (3, 3.0)
+        assert (child.g1, child.g2) == tuple(want)
+        assert np.count_nonzero(child.covered) == child.g1

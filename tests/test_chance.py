@@ -7,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccsubmod import (
+    Evaluator,
     G2Regime,
     Instance,
     Objectives,
@@ -19,7 +20,7 @@ from ccsubmod import (
     surrogate_weight,
     weight_variance,
 )
-from oracles import naive_objectives
+from oracles import adjacency_lists, naive_coverage, naive_objectives
 
 
 def bitvec(n, ones):
@@ -162,7 +163,7 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("regime", ["surrogate-g2", "expected-g2"])
     def test_exhaustive_toy_oracle(self, toy_instance, regime):
-        adjacency = [list(a) for a in toy_instance.graph.adjacency]
+        adjacency = adjacency_lists(toy_instance.graph)
         expected = list(toy_instance.weights.expected)
         for bits in itertools.product((0, 1), repeat=5):
             want = naive_objectives(
@@ -173,6 +174,29 @@ class TestEvaluate:
             got = evaluate(np.array(bits, dtype=np.uint8), toy_instance, G2Regime.parse(regime))
             assert got.g1 == want[0]
             assert got.g2 == pytest.approx(want[1], rel=1e-12)
+
+    def test_parent_mask_update_equals_full_scoring(self, toy_instance):
+        roomy = Instance(
+            graph=toy_instance.graph, weights=toy_instance.weights, budget=10.0,
+            alpha=toy_instance.alpha, surrogate=toy_instance.surrogate,
+        )
+        ev = Evaluator(roomy)
+        adjacency = adjacency_lists(roomy.graph)
+        parent = bitvec(5, [0, 3])
+        _, _, parent_covered = ev.evaluate_from_stats(parent, 2, 2.0)
+        for flipped in ([2], [0, 2], [0], [0, 3], [1, 3, 4]):
+            child = parent.copy()
+            child[flipped] ^= 1
+            size, expected = int(child.sum()), float(child.sum())
+            full = ev.evaluate_from_stats(child, size, expected)
+            delta = ev.evaluate_from_stats(child, size, expected, parent_covered, np.array(flipped))
+            assert delta.g1 == full.g1 == naive_coverage(adjacency, child)
+            assert delta.g2 == full.g2
+            assert np.array_equal(delta.covered, full.covered)
+            assert not delta.covered.flags.writeable
+
+    def test_infeasible_has_no_mask(self, toy_instance):
+        assert Evaluator(toy_instance).evaluate_from_stats(bitvec(5, range(5)), 5, 5.0).covered is None
 
 
 class TestDominates:

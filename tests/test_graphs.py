@@ -4,14 +4,28 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccsubmod import Graph, GraphFormatError, coverage_count, load_graph, save_edge_list
+from ccsubmod.graphs import coverage_of_indices, update_coverage
 from conftest import random_sparse_graph
-from oracles import naive_coverage
+from oracles import adjacency_lists, naive_coverage
 
 
 def write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text)
     return p
+
+
+# Graphs with the shapes that coverage updates must get right: isolated
+# trailing nodes (rows of length one), a hub whose row spans the graph, and
+# input edges that are duplicated or self loops.
+GRAPHS = {
+    "isolated-tail": Graph.from_edges(12, np.array([[0, 1], [1, 2], [2, 3], [3, 0], [4, 5]])),
+    "star": Graph.from_edges(10, np.array([[0, v] for v in range(1, 10)])),
+    "duplicates-and-loops": Graph.from_edges(
+        8, np.array([[0, 1], [1, 0], [0, 1], [2, 2], [3, 4], [4, 3], [5, 5], [6, 7], [7, 6], [1, 6]])
+    ),
+    "random": random_sparse_graph(30, 60, seed=11),
+}
 
 
 class TestLoadGraph:
@@ -26,7 +40,7 @@ class TestLoadGraph:
         p = write(tmp_path, "g.txt", "0 1\n1 2\n")
         g = load_graph(p)
         assert g.n == 3
-        assert list(g.adjacency[1]) == [0, 2]
+        assert list(g.neighbors(1)) == [0, 2]
 
     def test_self_loop_dropped(self, tmp_path):
         p = write(tmp_path, "g.txt", "1 1\n")
@@ -50,8 +64,8 @@ class TestLoadGraph:
         assert g.n == 5
         assert g.num_edges == 2
         # 1-indexed: nodes 0..4, edge (0,1) and (3,4)
-        assert list(g.adjacency[0]) == [1]
-        assert list(g.adjacency[3]) == [4]
+        assert list(g.neighbors(0)) == [1]
+        assert list(g.neighbors(3)) == [4]
 
     def test_declared_size_keeps_isolated_tail(self, tmp_path):
         p = write(tmp_path, "g.txt", "4 4 1\n1 2\n")
@@ -90,7 +104,8 @@ class TestLoadGraph:
         g2 = load_graph(p)
         assert g2.n == g.n
         assert np.array_equal(g2.degrees, g.degrees)
-        assert np.array_equal(g2.closed_bits, g.closed_bits)
+        assert np.array_equal(g2.indptr, g.indptr)
+        assert np.array_equal(g2.indices, g.indices)
 
 
 class TestClosedNeighborhood:
@@ -101,11 +116,24 @@ class TestClosedNeighborhood:
             assert v in cn
             assert len(cn) == g.degrees[v] + 1
 
+    @pytest.mark.parametrize("name", ["isolated-tail", "star", "duplicates-and-loops", "random"])
+    def test_csr_rows_self_first_sorted_symmetric(self, name):
+        g = GRAPHS[name]
+        assert g.indptr[0] == 0 and g.indptr[-1] == len(g.indices)
+        for v in range(g.n):
+            row = g.indices[g.indptr[v] : g.indptr[v + 1]]
+            assert row[0] == v
+            assert len(row) == g.degrees[v] + 1
+            assert np.all(np.diff(row[1:]) > 0)
+            assert v not in row[1:]
+            for u in row[1:]:
+                assert v in g.neighbors(u)
+
     def test_adjacency_symmetric(self):
         g = random_sparse_graph(40, 80, seed=2)
         for v in range(g.n):
-            for u in g.adjacency[v]:
-                assert v in g.adjacency[u]
+            for u in g.neighbors(v):
+                assert v in g.neighbors(u)
 
 
 class TestCoverage:
@@ -124,7 +152,7 @@ class TestCoverage:
 
     def test_matches_set_union_oracle(self):
         g = random_sparse_graph(50, 100, seed=3)
-        adjacency = [list(a) for a in g.adjacency]
+        adjacency = adjacency_lists(g)
         rng = np.random.default_rng(4)
         for _ in range(200):
             sel = (rng.random(50) < rng.uniform(0, 0.4)).astype(np.uint8)
@@ -149,3 +177,61 @@ class TestCoverage:
             gain_small = coverage_count(g, with_s) - coverage_count(g, smaller)
             gain_large = coverage_count(g, with_l) - coverage_count(g, larger)
             assert gain_small >= gain_large
+
+
+def full_mask(g, bits):
+    covered = np.zeros(g.n, dtype=bool)
+    count = coverage_of_indices(g, np.flatnonzero(bits), covered)
+    return covered, count
+
+
+class TestIncrementalCoverage:
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    @given(
+        data=st.data(),
+        name=st.sampled_from(sorted(GRAPHS)),
+        mode=st.sampled_from(["add", "remove", "mixed"]),
+    )
+    def test_flip_sequences_match_full_mask_and_oracle(self, data, name, mode):
+        g = GRAPHS[name]
+        adjacency = adjacency_lists(g)
+        if mode == "add":
+            bits = np.zeros(g.n, dtype=np.uint8)
+        elif mode == "remove":
+            bits = np.ones(g.n, dtype=np.uint8)
+        else:
+            bits = np.array(data.draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n)), dtype=np.uint8)
+        covered, _ = full_mask(g, bits)
+        for _ in range(data.draw(st.integers(min_value=1, max_value=10))):
+            if mode == "add":
+                allowed = np.flatnonzero(bits == 0)
+            elif mode == "remove":
+                allowed = np.flatnonzero(bits == 1)
+            else:
+                allowed = np.arange(g.n)
+            if allowed.size == 0:
+                break
+            pos = np.array(
+                data.draw(st.lists(st.sampled_from(allowed.tolist()), min_size=1, max_size=3, unique=True)),
+                dtype=np.int64,
+            )
+            bits[pos] ^= 1
+            update_coverage(g, covered, bits, pos)
+            want, count = full_mask(g, bits)
+            assert np.array_equal(covered, want)
+            assert np.count_nonzero(covered) == count == naive_coverage(adjacency, bits)
+
+    def test_removing_hub_keeps_leaves_covered_by_other_leaves(self):
+        g = GRAPHS["star"]
+        bits = np.zeros(g.n, dtype=np.uint8)
+        bits[[0, 3]] = 1
+        covered, _ = full_mask(g, bits)
+        bits[0] = 0
+        update_coverage(g, covered, bits, np.array([0]))
+        assert np.flatnonzero(covered).tolist() == [0, 3]
+
+    def test_out_receives_mask(self):
+        g = GRAPHS["isolated-tail"]
+        covered = np.zeros(g.n, dtype=bool)
+        assert coverage_of_indices(g, np.array([1, 11]), covered) == 4
+        assert np.flatnonzero(covered).tolist() == [0, 1, 2, 11]
