@@ -8,14 +8,12 @@ per-element means equal to degree+1 with a shared dispersion ("degree").
 from __future__ import annotations
 
 import enum
-import json
 import math
 from dataclasses import dataclass, field
-from pathlib import Path
 
 import numpy as np
 
-from .graphs import Graph, load_graph
+from .graphs import Graph
 
 __all__ = [
     "WeightKind",
@@ -162,13 +160,8 @@ def sample_weight_totals(
     return base + noise.sum(axis=1)
 
 
-# ---------------------------------------------------------------------------
-# Instance config files: small JSON documents with paths and scalars, kept
-# version-controllable for reproducible experiment definitions.
-# ---------------------------------------------------------------------------
-
 def build_weights(graph: Graph, kind: str, a: int = 1, d: float = 0.5) -> WeightModel:
-    """Construct a weight model from config-file fields."""
+    """Construct a weight model from its name in an experiment config or CLI flag."""
     kind = kind.strip().lower()
     if kind == "iid":
         return make_iid_weights(graph.n, a, d)
@@ -176,42 +169,3 @@ def build_weights(graph: Graph, kind: str, a: int = 1, d: float = 0.5) -> Weight
         return make_degree_weights(graph, d)
     raise ValueError(f"unknown weight kind {kind!r}")
 
-
-def expand_instance_config(path: str | Path) -> list[Instance]:
-    """Load a JSON instance config, expanding ``"B": "grid"`` to the three
-    standard budgets.
-
-    Fields: graph (path), weights ("iid"|"degree"), a, d, B (number or
-    "grid"), alpha, surrogate ("chebyshev"|"chernoff"). Paths are resolved
-    relative to the config file.
-    """
-    path = Path(path)
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    graph_path = Path(doc["graph"])
-    if not graph_path.is_absolute():
-        graph_path = path.parent / graph_path
-    graph = load_graph(graph_path)
-    weights = build_weights(graph, doc["weights"], a=doc.get("a", 1), d=doc.get("d", 0.5))
-    raw_budget = doc["B"]
-    budgets = default_budgets(graph.n) if raw_budget == "grid" else [float(raw_budget)]
-    return [
-        Instance(
-            graph=graph,
-            weights=weights,
-            budget=float(budget),
-            alpha=float(doc["alpha"]),
-            surrogate=SurrogateKind.parse(doc.get("surrogate", "chebyshev")),
-            name=doc.get("name", graph_path.stem),
-        )
-        for budget in budgets
-    ]
-
-
-def load_instance_config(path: str | Path) -> Instance:
-    """Load a JSON config that pins a single budget (see
-    :func:`expand_instance_config` for the ``"grid"`` form)."""
-    instances = expand_instance_config(path)
-    if len(instances) != 1:
-        raise ValueError('config uses B = "grid"; use expand_instance_config')
-    return instances[0]

@@ -1,5 +1,3 @@
-import json
-
 import numpy as np
 import pytest
 
@@ -11,7 +9,7 @@ from ccsubmod import (
     make_iid_weights,
     sample_weight_totals,
 )
-from ccsubmod.problem import WeightKind, expand_instance_config, load_instance_config
+from ccsubmod.problem import WeightKind
 from conftest import random_sparse_graph
 
 
@@ -85,31 +83,6 @@ class TestInstance:
         with pytest.raises(ValueError):
             Instance(graph=path3, weights=make_iid_weights(4, 1, 0.5), budget=2.0, alpha=0.1,
                      surrogate=SurrogateKind.CHEBYSHEV)
-
-    def test_config_file_roundtrip(self, tmp_path):
-        graph_file = tmp_path / "g.txt"
-        graph_file.write_text("1 2\n2 3\n")
-        config = tmp_path / "inst.json"
-        config.write_text(json.dumps({
-            "graph": "g.txt", "weights": "iid", "a": 1, "d": 0.5,
-            "B": 2, "alpha": 0.1, "surrogate": "cheb",
-        }))
-        inst = load_instance_config(config)
-        assert inst.graph.n == 3
-        assert inst.budget == 2.0
-        assert inst.surrogate is SurrogateKind.CHEBYSHEV
-
-    def test_config_budget_grid_expansion(self, tmp_path):
-        graph_file = tmp_path / "g.txt"
-        graph_file.write_text("41 41 1\n1 2\n")  # 41 nodes -> budgets 6, 2, 4
-        config = tmp_path / "inst.json"
-        config.write_text(json.dumps({
-            "graph": "g.txt", "weights": "iid", "B": "grid", "alpha": 0.1,
-        }))
-        budgets = [inst.budget for inst in expand_instance_config(config)]
-        assert budgets == [6.0, 2.0, 4.0]
-        with pytest.raises(ValueError):
-            load_instance_config(config)
 
 
 class TestSampling:
