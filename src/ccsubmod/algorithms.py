@@ -149,9 +149,9 @@ class ParetoArchive:
         m = self._members
         return m[rng.integers(len(m))] if len(m) > 1 else m[0]
 
-    def count_in_range(self, lo: float, hi: float) -> int:
-        """Number of members with lo <= g2 <= hi."""
-        return bisect_right(self._g2, hi) - bisect_left(self._g2, lo)
+    def index_range(self, lo: float, hi: float) -> tuple[int, int]:
+        """Indices ``[start, stop)`` of the members with lo <= g2 <= hi."""
+        return bisect_left(self._g2, lo), bisect_right(self._g2, hi)
 
     def best(self) -> Individual:
         """Member with the largest g1 (the top of the staircase)."""
@@ -247,22 +247,22 @@ def _sliding_select(
     c_hat = (t / t_max) * budget
     lo = math.floor(c_hat)
     hi = math.ceil(c_hat)
-    g2s = archive._g2
-    i0 = bisect_left(g2s, lo)
-    i1 = bisect_right(g2s, hi)
+    i0, i1 = archive.index_range(lo, hi)
     occ = i1 - i0
+    members = archive.members
     if occ > 0:
         pick = i0 if occ == 1 else i0 + int(rng.integers(occ))
-        return archive._members[pick], True, occ
+        return members[pick], True, occ
     # Empty window: take the best-coverage member among those below it. The
     # staircase ordering makes that the last member with g2 <= floor(c_hat);
-    # g1 ties cannot occur between archive members.
-    j = bisect_right(g2s, lo) - 1
-    if j < 0:
+    # g1 ties cannot occur between archive members. No member has
+    # g2 == floor(c_hat), since it would lie in the window, so that member
+    # sits just before the window's start.
+    if i0 == 0:
         # Unreachable while the empty selection (g2 = 0) stays archived;
         # fall back to uniform selection for totality.
         return archive.uniform_member(rng), False, 0
-    return archive._members[j], False, 0
+    return members[i0 - 1], False, 0
 
 
 def sliding_selection(

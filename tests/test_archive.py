@@ -97,3 +97,22 @@ class TestStaircaseInvariants:
             archive.insert(ind(g1, g2))
         assert archive_pairs(archive) == filter_nondominated([(float(a), float(b)) for a, b in pairs])
         self.check_staircase(archive)
+
+
+class TestIndexRange:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        pairs=st.lists(st.tuples(st.integers(-1, 12), st.integers(0, 12)), min_size=1, max_size=30),
+        lo=st.integers(-1, 13),
+        width=st.integers(0, 3),
+    )
+    def test_range_holds_exactly_the_members_in_the_g2_interval(self, pairs, lo, width):
+        archive = ParetoArchive()
+        for g1, g2 in pairs:
+            archive.insert(ind(g1, g2))
+        hi = lo + width
+        start, stop = archive.index_range(lo, hi)
+        members = archive.members
+        assert 0 <= start <= stop <= len(members)
+        assert [m.g2 for m in members[start:stop]] == [m.g2 for m in members if lo <= m.g2 <= hi]
+        assert all(m.g2 < lo for m in members[:start])
