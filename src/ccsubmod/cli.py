@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 from pathlib import Path
 
@@ -154,11 +153,8 @@ def _cmd_budgets(args: argparse.Namespace) -> int:
 
 def _cmd_experiment(args: argparse.Namespace) -> int:
     cfg = load_experiment_config(args.config)
-    workers = args.workers
-    if workers is None and os.environ.get("CCSUBMOD_WORKERS"):
-        workers = int(os.environ["CCSUBMOD_WORKERS"])
     results = run_experiment(
-        cfg, workers=workers, resume=args.resume, out_dir=args.out, progress=args.progress
+        cfg, workers=args.workers, resume=args.resume, out_dir=args.out, progress=args.progress
     )
     if results.errors:
         for err in results.errors:

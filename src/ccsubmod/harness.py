@@ -7,6 +7,12 @@ count. Every (cell, repetition) produces one result file under
 missing files. Aggregation writes ``results.json`` plus benchmark-style
 comparison tables (``table.csv`` / ``table.md``) with Kruskal-Wallis gated,
 Bonferroni-corrected pairwise marks.
+
+Grids and :func:`run_repetitions` share one execution path: the caller
+builds the instances and run configs, each pool worker receives the
+instances once through its initializer, every run's exception comes back
+as that run's error string, and outcomes arrive in task order. Run files
+are written by the calling process as each outcome arrives.
 """
 
 from __future__ import annotations
@@ -16,16 +22,18 @@ import json
 import os
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, field
+from collections.abc import Iterator
+from contextlib import closing
+from dataclasses import dataclass, field, replace
 from pathlib import Path
 
 import numpy as np
 
-from .algorithms import RunConfig, RunResult, Trace, run
+from .algorithms import RunConfig, RunResult, run
 from .chance import G2Regime
 from .graphs import Graph, load_graph
-from .problem import Instance, SurrogateKind, build_weights, default_budgets
-from .stats import kruskal_wallis, posthoc_marks
+from .problem import Instance, SurrogateKind, WeightModel, build_weights, default_budgets
+from .stats import posthoc_marks
 
 __all__ = [
     "ExperimentConfig",
@@ -197,9 +205,14 @@ def _cached_graph(path: str) -> Graph:
     return graph
 
 
-def _build_instance(cell: Cell) -> Instance:
+def _build_instance(cell: Cell, weight_models: dict[tuple, WeightModel]) -> Instance:
+    """The cell's instance; cells that share a (graph, weights, a, d) share
+    one weight model."""
     graph = _cached_graph(cell.graph_path)
-    weights = build_weights(graph, cell.weights, a=cell.a, d=cell.d)
+    key = (cell.graph_path, cell.weights, cell.a, cell.d)
+    weights = weight_models.get(key)
+    if weights is None:
+        weights = weight_models[key] = build_weights(graph, cell.weights, a=cell.a, d=cell.d)
     return Instance(
         graph=graph,
         weights=weights,
@@ -210,7 +223,7 @@ def _build_instance(cell: Cell) -> Instance:
     )
 
 
-def _run_config(cell: Cell, seed: tuple[int, ...], trace: bool = False) -> RunConfig:
+def _run_config(cell: Cell, seed: tuple[int, ...]) -> RunConfig:
     return RunConfig(
         algorithm=cell.algo.algorithm,
         t_max=cell.t_max,
@@ -218,20 +231,7 @@ def _run_config(cell: Cell, seed: tuple[int, ...], trace: bool = False) -> RunCo
         regime=G2Regime.parse(cell.algo.regime),
         population=cell.algo.population,
         children=cell.algo.children,
-        trace=trace,
     )
-
-
-def _execute_task(task: tuple[Cell, int, int]) -> dict:
-    """Run one (cell, repetition); returns a JSON-ready record."""
-    cell, rep, base_seed = task
-    instance = _build_instance(cell)
-    cfg = _run_config(cell, (base_seed, cell.index, rep))
-    result = run(instance, cfg)
-    record = result.to_json_dict()
-    record["cell_id"] = cell.cell_id()
-    record["repetition"] = rep
-    return record
 
 
 def expand_cells(cfg: ExperimentConfig) -> tuple[list[Cell], list[dict]]:
@@ -271,15 +271,6 @@ def expand_cells(cfg: ExperimentConfig) -> tuple[list[Cell], list[dict]]:
     return cells, errors
 
 
-def _worker_count(workers: int | None) -> int:
-    if workers is not None:
-        return max(1, workers)
-    env = os.environ.get("CCSUBMOD_WORKERS")
-    if env:
-        return max(1, int(env))
-    return max(1, (os.cpu_count() or 1) - 0)
-
-
 def run_experiment(
     cfg: ExperimentConfig,
     workers: int | None = None,
@@ -301,41 +292,49 @@ def run_experiment(
     result_set = ResultSet(errors=errors, algorithm_labels=[a.resolved_label() for a in cfg.algorithms])
 
     records: dict[tuple[int, int], dict] = {}
-    pending: list[tuple[Cell, int, int]] = []
+    weight_models: dict[tuple, WeightModel] = {}
+    instances: list[Instance] = []
+    tasks: list[tuple[int, RunConfig]] = []
+    # Runs to compute, in grid order, each with the error that kept its cell
+    # from being built (None when it was built).
+    pending: list[tuple[Cell, int, str | None]] = []
     for cell in cells:
+        reps = []
         for rep in range(cfg.repetitions):
             run_file = runs_dir / f"{cell.cell_id()}__rep{rep}.json"
             if resume and run_file.exists():
                 with open(run_file, "r", encoding="utf-8") as fh:
                     records[(cell.index, rep)] = json.load(fh)
             else:
-                pending.append((cell, rep, cfg.base_seed))
+                reps.append(rep)
+        if not reps:
+            continue
+        try:
+            instance = _build_instance(cell, weight_models)
+            run_cfgs = [_run_config(cell, (cfg.base_seed, cell.index, rep)) for rep in reps]
+        except Exception as exc:
+            pending += [(cell, rep, _error_text(exc)) for rep in reps]
+            continue
+        instances.append(instance)
+        tasks += [(len(instances) - 1, run_cfg) for run_cfg in run_cfgs]
+        pending += [(cell, rep, None) for rep in reps]
 
-    def _store(task: tuple[Cell, int, int], record: dict) -> None:
-        cell, rep, _ = task
-        records[(cell.index, rep)] = record
-        run_file = runs_dir / f"{cell.cell_id()}__rep{rep}.json"
-        with open(run_file, "w", encoding="utf-8") as fh:
-            json.dump(record, fh, indent=1, sort_keys=True)
-        result_set.executed_runs += 1
-        if progress:
-            print(f"[{result_set.executed_runs}/{len(pending)}] {record['cell_id']} rep {rep}", file=sys.stderr)
-
-    nworkers = _worker_count(workers)
-    if nworkers > 1 and len(pending) > 1:
-        with ProcessPoolExecutor(max_workers=nworkers) as pool:
-            for task, outcome in zip(pending, pool.map(_try_task, pending)):
-                if "error" in outcome:
-                    result_set.errors.append(outcome)
-                else:
-                    _store(task, outcome)
-    else:
-        for task in pending:
-            outcome = _try_task(task)
-            if "error" in outcome:
-                result_set.errors.append(outcome)
-            else:
-                _store(task, outcome)
+    with closing(_run_tasks(instances, tasks, workers)) as outcomes:
+        for cell, rep, error in pending:
+            outcome = error if error is not None else next(outcomes)
+            if isinstance(outcome, str):
+                result_set.errors.append({"cell_id": cell.cell_id(), "repetition": rep, "error": outcome})
+                continue
+            record = outcome.to_json_dict()
+            record["cell_id"] = cell.cell_id()
+            record["repetition"] = rep
+            records[(cell.index, rep)] = record
+            run_file = runs_dir / f"{cell.cell_id()}__rep{rep}.json"
+            with open(run_file, "w", encoding="utf-8") as fh:
+                json.dump(record, fh, indent=1, sort_keys=True)
+            result_set.executed_runs += 1
+            if progress:
+                print(f"[{result_set.executed_runs}/{len(pending)}] {record['cell_id']} rep {rep}", file=sys.stderr)
 
     for cell in cells:
         best = [records[(cell.index, r)]["best_g1"] for r in range(cfg.repetitions) if (cell.index, r) in records]
@@ -384,30 +383,59 @@ def run_experiment(
     return result_set
 
 
-def _try_task(task: tuple[Cell, int, int]) -> dict:
-    cell, rep, _ = task
+# ---------------------------------------------------------------------------
+# Execution: one driver for experiment grids and repetition batches
+# ---------------------------------------------------------------------------
+
+def _worker_count(workers: int | None) -> int:
+    if workers is None:
+        workers = int(os.environ.get("CCSUBMOD_WORKERS") or os.cpu_count() or 1)
+    return max(1, workers)
+
+
+def _error_text(exc: Exception) -> str:
+    return f"{type(exc).__name__}: {exc}"
+
+
+def _attempt(instance: Instance, cfg: RunConfig) -> RunResult | str:
+    """One run; an exception comes back as the run's error string."""
     try:
-        return _execute_task(task)
+        return run(instance, cfg)
     except Exception as exc:
-        return {"cell_id": cell.cell_id(), "repetition": rep, "error": f"{type(exc).__name__}: {exc}"}
+        return _error_text(exc)
 
 
-# ---------------------------------------------------------------------------
-# In-process repetition batches (used by tests and ad-hoc studies)
-# ---------------------------------------------------------------------------
-
-_WORKER_STATE: dict = {}
+# Set in each pool worker by its initializer, never in the calling process.
+_WORKER_INSTANCES: list[Instance] = []
 
 
-def _init_repetition_worker(instance: Instance, cfg_fields: dict) -> None:
-    _WORKER_STATE["instance"] = instance
-    _WORKER_STATE["cfg_fields"] = cfg_fields
+def _init_worker(instances: list[Instance]) -> None:
+    global _WORKER_INSTANCES
+    _WORKER_INSTANCES = instances
 
 
-def _run_repetition(args: tuple[int, tuple[int, ...]]) -> RunResult:
-    rep, seed = args
-    cfg = RunConfig(seed=seed, **_WORKER_STATE["cfg_fields"])
-    return run(_WORKER_STATE["instance"], cfg)
+def _worker_task(task: tuple[int, RunConfig]) -> RunResult | str:
+    index, cfg = task
+    return _attempt(_WORKER_INSTANCES[index], cfg)
+
+
+def _run_tasks(
+    instances: list[Instance], tasks: list[tuple[int, RunConfig]], workers: int | None
+) -> Iterator[RunResult | str]:
+    """Run each ``(instance index, config)`` task; yield outcomes in task order.
+
+    A task carries only its index and config, because every worker receives
+    the instance list once. One worker or one task runs in this process.
+    """
+    nworkers = _worker_count(workers)
+    if nworkers > 1 and len(tasks) > 1:
+        with ProcessPoolExecutor(
+            max_workers=nworkers, initializer=_init_worker, initargs=(instances,)
+        ) as pool:
+            yield from pool.map(_worker_task, tasks)
+    else:
+        for index, cfg in tasks:
+            yield _attempt(instances[index], cfg)
 
 
 def run_repetitions(
@@ -418,26 +446,16 @@ def run_repetitions(
     cell_index: int = 0,
     workers: int | None = None,
 ) -> list[RunResult]:
-    """Repeat one configuration with seeds (base_seed, cell_index, rep)."""
-    fields = {
-        "algorithm": template.algorithm,
-        "t_max": template.t_max,
-        "regime": template.regime,
-        "population": template.population,
-        "children": template.children,
-        "trace": template.trace,
-    }
-    tasks = [(rep, (base_seed, cell_index, rep)) for rep in range(repetitions)]
-    nworkers = _worker_count(workers)
-    if nworkers > 1 and repetitions > 1:
-        with ProcessPoolExecutor(
-            max_workers=nworkers,
-            initializer=_init_repetition_worker,
-            initargs=(instance, fields),
-        ) as pool:
-            return list(pool.map(_run_repetition, tasks))
-    _init_repetition_worker(instance, fields)
-    return [_run_repetition(task) for task in tasks]
+    """Repeat one configuration with seeds (base_seed, cell_index, rep).
+
+    A failed run raises RuntimeError with that run's error.
+    """
+    tasks = [(0, replace(template, seed=(base_seed, cell_index, rep))) for rep in range(repetitions)]
+    results = list(_run_tasks([instance], tasks, workers))
+    for outcome in results:
+        if isinstance(outcome, str):
+            raise RuntimeError(outcome)
+    return results
 
 
 # ---------------------------------------------------------------------------

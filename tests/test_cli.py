@@ -172,6 +172,18 @@ class TestExperiment:
         assert code == 3
         assert "missing.txt" in err
 
+    def test_unbuildable_cell_exit_code(self, graph_file, tmp_path):
+        doc = json.loads(self.write_config(graph_file, tmp_path, "out5").read_text())
+        doc["algorithms"].append({"algorithm": "nsga2", "population": 5, "children": 10})
+        p = tmp_path / "unbuildable.json"
+        p.write_text(json.dumps(doc))
+        code, _, err = cli("experiment", "--config", str(p), "--workers", "2")
+        assert code == 3
+        assert "children must not exceed population size" in err
+        results = json.loads((tmp_path / "out5" / "results.json").read_text())
+        assert [len(c["best_g1"]) for c in results["cells"]] == [2, 2, 0]
+        assert [e["repetition"] for e in results["errors"]] == [0, 1]
+
     def test_resume_completes_missing_cells(self, graph_file, tmp_path):
         cfg = self.write_config(graph_file, tmp_path, "out4")
         assert cli("experiment", "--config", str(cfg), "--workers", "1")[0] == 0

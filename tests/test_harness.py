@@ -1,5 +1,6 @@
 import csv
 import json
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -131,6 +132,35 @@ class TestRunExperiment:
         serial = run_experiment(small_config(graph_file, tmp_path / "s"), workers=1)
         parallel = run_experiment(small_config(graph_file, tmp_path / "p"), workers=2)
         assert [c["best_g1"] for c in serial.cells] == [c["best_g1"] for c in parallel.cells]
+        for name in ("results.json", "table.csv"):
+            assert (tmp_path / "s" / name).read_bytes() == (tmp_path / "p" / name).read_bytes()
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "alphas,algorithms,error",
+        [
+            ((0.1, 1.5), [AlgorithmSpec("gsemo")], "ValueError: alpha must lie in (0, 1)"),
+            (
+                (0.1,),
+                [AlgorithmSpec("gsemo"), AlgorithmSpec("nsga2", population=5, children=10)],
+                "ValueError: children must not exceed population size",
+            ),
+        ],
+        ids=["alpha", "nsga2-children"],
+    )
+    def test_unbuildable_cell_fails_per_repetition(self, graph_file, tmp_path, workers, alphas, algorithms, error):
+        out = tmp_path / "out"
+        cfg = small_config(graph_file, out, algorithms=algorithms)
+        cfg.instances = [replace(cfg.instances[0], alphas=alphas)]
+        results = run_experiment(cfg, workers=workers)
+        failed = [c for c in results.cells if not c["best_g1"]]
+        assert [len(c["best_g1"]) for c in results.cells if c not in failed] == [3]
+        assert len(failed) == 1
+        assert results.errors == [
+            {"cell_id": failed[0]["cell_id"], "repetition": rep, "error": error} for rep in range(3)
+        ]
+        assert results.executed_runs == 3
+        assert len(list((out / "runs").glob("*.json"))) == 3
 
     def test_config_file_loading(self, graph_file, tmp_path):
         doc = {
@@ -248,3 +278,17 @@ class TestRunRepetitions:
         b = run_repetitions(inst, template, repetitions=3, base_seed=5, workers=1)
         assert [r.best_g1 for r in a] == [r.best_g1 for r in b]
         assert [r.config["seed"] for r in a] == [[5, 0, 0], [5, 0, 1], [5, 0, 2]]
+
+    def test_pool_matches_serial(self):
+        graph = random_sparse_graph(40, 90, seed=31)
+        inst = Instance(graph=graph, weights=make_iid_weights(40, 1, 0.5),
+                        budget=8.0, alpha=0.1, surrogate=SurrogateKind.CHEBYSHEV)
+        template = RunConfig(algorithm="sw-gsemo", t_max=2000, seed=0)
+        serial = run_repetitions(inst, template, repetitions=3, base_seed=5, cell_index=2, workers=1)
+        pooled = run_repetitions(inst, template, repetitions=3, base_seed=5, cell_index=2, workers=2)
+
+        def outcome(results):
+            return [(r.best_g1, r.best_bits_hex, r.config["seed"]) for r in results]
+
+        assert outcome(pooled) == outcome(serial)
+        assert [r.config["seed"] for r in serial] == [[5, 2, 0], [5, 2, 1], [5, 2, 2]]
