@@ -63,7 +63,7 @@ class AlgorithmSpec:
             return self.label
         if self.algorithm == "nsga2":
             return f"NSGA-II-{self.population}"
-        return self.algorithm.upper().replace("SW-", "SW-")
+        return self.algorithm.upper()
 
 
 @dataclass(frozen=True)
@@ -235,7 +235,12 @@ def _run_config(cell: Cell, seed: tuple[int, ...]) -> RunConfig:
 
 
 def expand_cells(cfg: ExperimentConfig) -> tuple[list[Cell], list[dict]]:
-    """Expansion order fixes each cell's index, which seeds its repetitions."""
+    """Expansion order fixes each cell's index, which seeds its repetitions.
+
+    Raises ValueError when two cells share a ``cell_id``, which names their
+    run files: the id leaves out the regime, ``a``, ``d`` and the graph path,
+    so such cells need distinct algorithm labels or instance names.
+    """
     cells: list[Cell] = []
     errors: list[dict] = []
     index = 0
@@ -268,6 +273,15 @@ def expand_cells(cfg: ExperimentConfig) -> tuple[list[Cell], list[dict]]:
                                 )
                             )
                             index += 1
+    seen: set[str] = set()
+    for cell in cells:
+        cell_id = cell.cell_id()
+        if cell_id in seen:
+            raise ValueError(
+                f"two grid cells share the id {cell_id!r}; give their algorithms "
+                "distinct labels or their instances distinct names"
+            )
+        seen.add(cell_id)
     return cells, errors
 
 

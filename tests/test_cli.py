@@ -163,6 +163,15 @@ class TestExperiment:
         code, _, _ = cli("experiment", "--config", str(p))
         assert code == 2
 
+    def test_duplicate_cell_id_is_config_error(self, graph_file, tmp_path):
+        doc = json.loads(self.write_config(graph_file, tmp_path, "out6").read_text())
+        doc["algorithms"] = [{"algorithm": "sw-gsemo"}, {"algorithm": "sw-gsemo", "regime": "expected-g2"}]
+        p = tmp_path / "duplicate.json"
+        p.write_text(json.dumps(doc))
+        code, _, err = cli("experiment", "--config", str(p), "--workers", "1")
+        assert code == 2
+        assert "SW-GSEMO" in err
+
     def test_partial_failure_exit_code(self, graph_file, tmp_path):
         doc = json.loads(self.write_config(graph_file, tmp_path, "out3").read_text())
         doc["instances"].append({"graph": str(tmp_path / "missing.txt"), "budgets": [3]})

@@ -83,6 +83,17 @@ class TestGridExpansion:
         budgets = sorted({c.budget for c in cells})
         assert budgets == [1.0, 3.0, 5.0]  # n = 30 -> isqrt 5, 30//20, 30//10
 
+    def test_duplicate_cell_ids_rejected(self, graph_file, tmp_path):
+        # Unlabelled columns that differ only in regime share a cell_id, so
+        # their runs would overwrite one another's files.
+        algorithms = [AlgorithmSpec("sw-gsemo"), AlgorithmSpec("sw-gsemo", regime="expected-g2")]
+        cfg = small_config(graph_file, tmp_path / "out", algorithms=algorithms)
+        with pytest.raises(ValueError, match="synth30_iid_chebyshev_B6_t2000_a0.1_SW-GSEMO"):
+            expand_cells(cfg)
+        with pytest.raises(ValueError):
+            run_experiment(cfg, workers=1)
+        assert not list((tmp_path / "out" / "runs").glob("*.json"))
+
     def test_unreadable_graph_recorded_not_raised(self, tmp_path):
         cfg = ExperimentConfig(
             instances=[InstanceSpec(graph=str(tmp_path / "missing.txt"), budgets=(3.0,))],
