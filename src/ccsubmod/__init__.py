@@ -8,22 +8,8 @@ from .algorithms import (
     RunResult,
     make_rng,
     run,
-    run_gsemo,
-    run_nsga2,
-    run_sw_gsemo,
-    sliding_selection,
-    standard_bit_mutation,
 )
-from .chance import (
-    Evaluator,
-    G2Regime,
-    Objectives,
-    dominates,
-    evaluate,
-    expected_weight,
-    surrogate_weight,
-    weight_variance,
-)
+from .chance import Evaluator, G2Regime, Objectives, dominates
 from .graphs import Graph, GraphFormatError, coverage_count, load_graph, save_edge_list
 from .harness import (
     ExperimentConfig,
@@ -53,19 +39,10 @@ __all__ = [
     "RunResult",
     "make_rng",
     "run",
-    "run_gsemo",
-    "run_nsga2",
-    "run_sw_gsemo",
-    "sliding_selection",
-    "standard_bit_mutation",
     "Evaluator",
     "G2Regime",
     "Objectives",
     "dominates",
-    "evaluate",
-    "expected_weight",
-    "surrogate_weight",
-    "weight_variance",
     "Graph",
     "GraphFormatError",
     "coverage_count",

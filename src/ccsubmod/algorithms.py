@@ -24,7 +24,6 @@ import math
 import time
 from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
-from typing import Sequence
 
 import numpy as np
 
@@ -38,13 +37,7 @@ __all__ = [
     "RunResult",
     "Trace",
     "make_rng",
-    "standard_bit_mutation",
-    "sliding_selection",
-    "run_gsemo",
-    "run_sw_gsemo",
-    "run_nsga2",
     "run",
-    "window_schedule_budget",
 ]
 
 ALGORITHMS = ("gsemo", "sw-gsemo", "nsga2")
@@ -185,18 +178,6 @@ def _mutation_positions(n: int, rng: np.random.Generator) -> np.ndarray:
 _EMPTY_POSITIONS = np.empty(0, dtype=np.int64)
 
 
-def standard_bit_mutation(x: np.ndarray, rng: np.random.Generator) -> np.ndarray:
-    """Flip each bit of x independently with probability 1/len(x)."""
-    x = np.asarray(x, dtype=np.uint8)
-    n = len(x)
-    if n < 1:
-        raise ValueError("bit vector must be non-empty")
-    pos = _mutation_positions(n, rng)
-    y = x.copy()
-    y[pos] ^= 1
-    return y
-
-
 def _spawn_child(
     parent: Individual, pos: np.ndarray, expected_arr: np.ndarray
 ) -> tuple[np.ndarray, int, float]:
@@ -241,7 +222,14 @@ def _sliding_select(
     budget: float,
     rng: np.random.Generator,
 ) -> tuple[Individual, bool, int]:
-    """Returns (parent, in_window, window occupancy)."""
+    """Pick a parent from the sliding weight window.
+
+    With ``c = (t / t_max) * budget``, candidates are the members whose g2
+    lies in ``[floor(c), ceil(c)]``; one is chosen uniformly at random.
+    Returns (parent, in_window, window occupancy). When the window is empty
+    the best-coverage member below it is used instead (``in_window`` False),
+    and past ``t_max`` selection reverts to uniform over the whole archive.
+    """
     if t > t_max or t_max < 1:
         return archive.uniform_member(rng), False, 0
     c_hat = (t / t_max) * budget
@@ -263,25 +251,6 @@ def _sliding_select(
         # fall back to uniform selection for totality.
         return archive.uniform_member(rng), False, 0
     return members[i0 - 1], False, 0
-
-
-def sliding_selection(
-    archive: ParetoArchive,
-    t: int,
-    t_max: int,
-    budget: float,
-    rng: np.random.Generator,
-) -> tuple[Individual, bool]:
-    """Pick a parent from the sliding weight window.
-
-    With ``c = (t / t_max) * budget``, candidates are the members whose g2
-    lies in ``[floor(c), ceil(c)]``; one is chosen uniformly at random. When
-    the window is empty the best-coverage member below the window is used
-    instead (``in_window`` False), and past ``t_max`` selection reverts to
-    uniform over the whole archive.
-    """
-    ind, in_window, _ = _sliding_select(archive, t, t_max, budget, rng)
-    return ind, in_window
 
 
 # ---------------------------------------------------------------------------
@@ -328,8 +297,29 @@ class Trace:
     in_window: np.ndarray
     window_count: np.ndarray
 
+    @classmethod
+    def zeros(cls, t_max: int) -> "Trace":
+        """A record of t_max iterations, each filled in by :meth:`record`."""
+        return cls(
+            parent_g2=np.zeros(t_max),
+            g1=np.zeros(t_max),
+            g2=np.zeros(t_max),
+            accepted=np.zeros(t_max, dtype=bool),
+            in_window=np.zeros(t_max, dtype=bool),
+            window_count=np.zeros(t_max, dtype=np.uint32),
+        )
+
     def __len__(self) -> int:
         return len(self.g1)
+
+    def record(self, t, parent_g2, g1, g2, accepted, in_window, occ) -> None:
+        i = t - 1
+        self.parent_g2[i] = parent_g2
+        self.g1[i] = g1
+        self.g2[i] = g2
+        self.accepted[i] = accepted
+        self.in_window[i] = in_window
+        self.window_count[i] = occ
 
 
 @dataclass
@@ -381,35 +371,6 @@ def _config_echo(instance: Instance, cfg: RunConfig) -> dict:
     return doc
 
 
-class _TraceBuffer:
-    def __init__(self, t_max: int):
-        self.parent_g2 = np.zeros(t_max)
-        self.g1 = np.zeros(t_max)
-        self.g2 = np.zeros(t_max)
-        self.accepted = np.zeros(t_max, dtype=bool)
-        self.in_window = np.zeros(t_max, dtype=bool)
-        self.window_count = np.zeros(t_max, dtype=np.uint32)
-
-    def record(self, t, parent_g2, g1, g2, accepted, in_window, occ):
-        i = t - 1
-        self.parent_g2[i] = parent_g2
-        self.g1[i] = g1
-        self.g2[i] = g2
-        self.accepted[i] = accepted
-        self.in_window[i] = in_window
-        self.window_count[i] = occ
-
-    def freeze(self) -> Trace:
-        return Trace(
-            parent_g2=self.parent_g2,
-            g1=self.g1,
-            g2=self.g2,
-            accepted=self.accepted,
-            in_window=self.in_window,
-            window_count=self.window_count,
-        )
-
-
 # ---------------------------------------------------------------------------
 # GSEMO and SW-GSEMO
 # ---------------------------------------------------------------------------
@@ -434,7 +395,7 @@ def _run_archive_loop(instance: Instance, cfg: RunConfig, sliding: bool) -> RunR
     archive = ParetoArchive()
     archive.insert(root)
     best = root
-    buf = _TraceBuffer(t_max) if cfg.trace else None
+    trace = Trace.zeros(t_max) if cfg.trace else None
 
     for t in range(1, t_max + 1):
         if sliding:
@@ -452,8 +413,8 @@ def _run_archive_loop(instance: Instance, cfg: RunConfig, sliding: bool) -> RunR
         accepted = archive.insert(child)
         if child.g1 > best.g1:
             best = child
-        if buf is not None:
-            buf.record(t, parent.g2, child.g1, child.g2, accepted, in_window, occ)
+        if trace is not None:
+            trace.record(t, parent.g2, child.g1, child.g2, accepted, in_window, occ)
 
     return RunResult(
         algorithm=cfg.algorithm,
@@ -465,33 +426,8 @@ def _run_archive_loop(instance: Instance, cfg: RunConfig, sliding: bool) -> RunR
         wall_time_s=time.perf_counter() - start,
         config=_config_echo(instance, cfg),
         final_objectives=archive.objective_pairs(),
-        trace=buf.freeze() if buf is not None else None,
+        trace=trace,
     )
-
-
-def run_gsemo(instance: Instance, cfg: RunConfig) -> RunResult:
-    """Archive-based optimizer with uniform parent selection."""
-    if cfg.algorithm != "gsemo":
-        raise ValueError("config does not request gsemo")
-    return _run_archive_loop(instance, cfg, sliding=False)
-
-
-def run_sw_gsemo(instance: Instance, cfg: RunConfig) -> RunResult:
-    """Archive-based optimizer with sliding-window parent selection."""
-    if cfg.algorithm != "sw-gsemo":
-        raise ValueError("config does not request sw-gsemo")
-    return _run_archive_loop(instance, cfg, sliding=True)
-
-
-def window_schedule_budget(n: int, k: int) -> int:
-    """Iteration budget e*k*n*ln(n*k) under which the window schedule is
-    expected to reach its approximation guarantee (identical integer means).
-
-    Provided as a sizing helper; experiment grids use explicit budgets.
-    """
-    if n < 1 or k < 1:
-        raise ValueError("n and k must be positive")
-    return math.ceil(math.e * k * n * math.log(n * k))
 
 
 # ---------------------------------------------------------------------------
@@ -545,7 +481,7 @@ def _tournament(
     return np.where(b_wins, b, a)
 
 
-def run_nsga2(instance: Instance, cfg: RunConfig) -> RunResult:
+def _run_nsga2(instance: Instance, cfg: RunConfig) -> RunResult:
     """(mu + lambda) NSGA-II on (maximize coverage, minimize g2).
 
     The population starts as mu copies of the empty selection and evolves for
@@ -553,8 +489,6 @@ def run_nsga2(instance: Instance, cfg: RunConfig) -> RunResult:
     t_max. Infeasible solutions take the g1 sentinel and need no extra
     constraint handling: every feasible point dominates them.
     """
-    if cfg.algorithm != "nsga2":
-        raise ValueError("config does not request nsga2")
     start = time.perf_counter()
     rng = make_rng(*cfg.seed_tuple())
     evaluator = Evaluator(instance, cfg.regime)
@@ -644,9 +578,8 @@ def run_nsga2(instance: Instance, cfg: RunConfig) -> RunResult:
 
 
 def run(instance: Instance, cfg: RunConfig) -> RunResult:
-    """Dispatch a run to the configured algorithm."""
-    if cfg.algorithm == "gsemo":
-        return run_gsemo(instance, cfg)
-    if cfg.algorithm == "sw-gsemo":
-        return run_sw_gsemo(instance, cfg)
-    return run_nsga2(instance, cfg)
+    """Run the configured algorithm: NSGA-II, or the archive loop with
+    uniform (``gsemo``) or sliding-window (``sw-gsemo``) parent selection."""
+    if cfg.algorithm == "nsga2":
+        return _run_nsga2(instance, cfg)
+    return _run_archive_loop(instance, cfg, sliding=cfg.algorithm == "sw-gsemo")

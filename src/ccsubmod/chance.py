@@ -36,10 +36,6 @@ __all__ = [
     "G2Regime",
     "Objectives",
     "Scored",
-    "expected_weight",
-    "weight_variance",
-    "surrogate_weight",
-    "evaluate",
     "dominates",
     "Evaluator",
 ]
@@ -85,19 +81,6 @@ def _check_length(x: np.ndarray, n: int) -> np.ndarray:
     return x
 
 
-def expected_weight(x: np.ndarray, model: WeightModel) -> float:
-    """Sum of expected weights over selected elements."""
-    x = _check_length(x, model.n)
-    return float(model.expected[np.flatnonzero(x)].sum())
-
-
-def weight_variance(x: np.ndarray, model: WeightModel) -> float:
-    """Variance of the selection total: d^2 * |x| / 3 (uniform weights)."""
-    x = _check_length(x, model.n)
-    k = int(np.count_nonzero(x))
-    return model.dispersion**2 * k / 3.0
-
-
 def _tail_coefficient(model: WeightModel, alpha: float, kind: SurrogateKind) -> float:
     """c such that the surrogate equals E(x) + c * sqrt(|x|)."""
     d = model.dispersion
@@ -105,33 +88,6 @@ def _tail_coefficient(model: WeightModel, alpha: float, kind: SurrogateKind) -> 
         return math.sqrt((1.0 - alpha) * d * d / (3.0 * alpha))
     # ln(1/alpha) computed as -ln(alpha)
     return math.sqrt(3.0 * d * -math.log(alpha))
-
-
-def surrogate_weight(
-    x: np.ndarray, model: WeightModel, alpha: float, kind: SurrogateKind
-) -> float:
-    """Deterministic-equivalent weight of a selection at confidence alpha.
-
-    Strictly increasing in the selection size for fixed means (d > 0) and
-    equal to the expected weight (0) for the empty selection.
-    """
-    if not (0.0 < alpha < 1.0):
-        raise ValueError("alpha must lie in (0, 1)")
-    x = _check_length(x, model.n)
-    idx = np.flatnonzero(x)
-    e = float(model.expected[idx].sum())
-    return e + _tail_coefficient(model, alpha, kind) * math.sqrt(len(idx))
-
-
-def evaluate(x: np.ndarray, instance: Instance, regime: G2Regime = G2Regime.SURROGATE) -> Objectives:
-    """Bi-objective fitness of a selection under an instance.
-
-    g1 is the coverage value, or -1 when the surrogate weight exceeds the
-    budget. g2 is the surrogate weight (``SURROGATE`` regime) or the expected
-    weight (``EXPECTED`` regime); the -1 sentinel is driven by the surrogate
-    weight in both regimes.
-    """
-    return Evaluator(instance, regime).evaluate_bits(x)
 
 
 def dominates(a: Objectives, b: Objectives, strict: bool = False) -> bool:
@@ -152,7 +108,6 @@ class Evaluator:
     """
 
     def __init__(self, instance: Instance, regime: G2Regime = G2Regime.SURROGATE):
-        self.instance = instance
         self.regime = regime
         self.graph = instance.graph
         self.model = instance.weights
@@ -163,6 +118,8 @@ class Evaluator:
         self.evaluations = 0
 
     def surrogate_from(self, expected: float, size: int) -> float:
+        """Surrogate weight of a selection with ``size`` elements whose means
+        sum to ``expected``; it rises strictly with the size when d > 0."""
         return expected + self.tail_coefficient * math.sqrt(size)
 
     def evaluate_from_stats(
@@ -198,6 +155,7 @@ class Evaluator:
         return Scored(float(g1), g2, covered)
 
     def evaluate_bits(self, x: np.ndarray) -> Objectives:
+        """Objectives of a 0/1 vector, its size and expected weight summed here."""
         x = _check_length(x, self.model.n)
         bits = (x != 0).view(np.uint8)
         idx = np.flatnonzero(bits)

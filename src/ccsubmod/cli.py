@@ -1,6 +1,6 @@
 """Command-line interface.
 
-Subcommands: inspect-graph, budgets, run, trace, experiment. Machine-readable
+Subcommands: inspect-graph, budgets, run, experiment. Machine-readable
 payloads (JSON, budget triples) go to stdout; diagnostics go to stderr. Exit
 codes: 0 success, 1 runtime error, 2 configuration error, 3 experiment with
 failed cells.
@@ -25,33 +25,6 @@ EXIT_CONFIG = 2
 EXIT_PARTIAL = 3
 
 
-def _add_instance_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--graph", required=True, help="edge-list or .mtx file")
-    parser.add_argument("--format", default="auto", choices=["auto", "matrix-market", "edge-list"])
-    parser.add_argument("--weights", default="iid", choices=["iid", "degree", "same-dispersion"])
-    parser.add_argument("--a", type=int, default=1, help="shared expected weight (iid)")
-    parser.add_argument("--d", type=float, default=0.5, help="dispersion")
-    parser.add_argument("--B", type=float, required=True, help="weight budget")
-    parser.add_argument("--alpha", type=float, required=True, help="tolerated violation probability")
-    parser.add_argument(
-        "--surrogate", default="chebyshev",
-        choices=["cheb", "chern", "chebyshev", "chernoff"],
-    )
-
-
-def _add_run_flags(parser: argparse.ArgumentParser) -> None:
-    _add_instance_flags(parser)
-    parser.add_argument("--algo", required=True, choices=["gsemo", "sw-gsemo", "nsga2"])
-    parser.add_argument("--tmax", type=int, required=True)
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument(
-        "--regime", default="surrogate-g2",
-        choices=["surrogate-g2", "expected-g2", "surrogate", "expected"],
-    )
-    parser.add_argument("--population", type=int, default=20, help="nsga2 population size")
-    parser.add_argument("--children", type=int, default=10, help="nsga2 children per generation")
-
-
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="ccsubmod",
@@ -68,18 +41,33 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--format", default="auto", choices=["auto", "matrix-market", "edge-list"])
 
     p = sub.add_parser("run", help="single optimizer run; RunResult JSON on stdout")
-    _add_run_flags(p)
+    p.add_argument("--graph", required=True, help="edge-list or .mtx file")
+    p.add_argument("--format", default="auto", choices=["auto", "matrix-market", "edge-list"])
+    p.add_argument("--weights", default="iid", choices=["iid", "degree", "same-dispersion"])
+    p.add_argument("--a", type=int, default=1, help="shared expected weight (iid)")
+    p.add_argument("--d", type=float, default=0.5, help="dispersion")
+    p.add_argument("--B", type=float, required=True, help="weight budget")
+    p.add_argument("--alpha", type=float, required=True, help="tolerated violation probability")
+    p.add_argument(
+        "--surrogate", default="chebyshev",
+        choices=["cheb", "chern", "chebyshev", "chernoff"],
+    )
+    p.add_argument("--algo", required=True, choices=["gsemo", "sw-gsemo", "nsga2"])
+    p.add_argument("--tmax", type=int, required=True)
+    p.add_argument("--seed", type=int, default=0)
+    p.add_argument(
+        "--regime", default="surrogate-g2",
+        choices=["surrogate-g2", "expected-g2", "surrogate", "expected"],
+    )
+    p.add_argument("--population", type=int, default=20, help="nsga2 population size")
+    p.add_argument("--children", type=int, default=10, help="nsga2 children per generation")
     p.add_argument("--trace", metavar="CSV", default=None, help="also write a per-iteration trace CSV")
-
-    p = sub.add_parser("trace", help="single run with mandatory trace output")
-    _add_run_flags(p)
-    p.add_argument("--out", required=True, metavar="CSV")
 
     p = sub.add_parser("experiment", help="run an experiment grid from a JSON config")
     p.add_argument("--config", required=True)
     p.add_argument("--workers", type=int, default=None, help="defaults to CCSUBMOD_WORKERS or CPU count")
     p.add_argument("--out", default=None, help="override the config's output_dir")
-    p.add_argument("--resume", action="store_true", help="reuse existing per-run result files")
+    p.add_argument("--resume", action="store_true", help="reuse stored run files made by the same run configuration")
     p.add_argument("--progress", action="store_true")
     return parser
 
@@ -97,7 +85,7 @@ def _instance_from_args(args: argparse.Namespace) -> Instance:
     )
 
 
-def _cmd_single_run(args: argparse.Namespace, trace_path: str | None) -> int:
+def _cmd_run(args: argparse.Namespace) -> int:
     instance = _instance_from_args(args)
     cfg = RunConfig(
         algorithm=args.algo,
@@ -106,7 +94,7 @@ def _cmd_single_run(args: argparse.Namespace, trace_path: str | None) -> int:
         regime=G2Regime.parse(args.regime),
         population=args.population,
         children=args.children,
-        trace=trace_path is not None,
+        trace=args.trace is not None,
     )
     result = run(instance, cfg)
     payload = result.to_json_dict()
@@ -116,9 +104,9 @@ def _cmd_single_run(args: argparse.Namespace, trace_path: str | None) -> int:
     # to stderr instead.
     del payload["wall_time_s"]
     print(f"run finished in {result.wall_time_s:.2f}s", file=sys.stderr)
-    if trace_path is not None:
-        emit_trace(result, trace_path)
-        payload["trace_path"] = str(trace_path)
+    if args.trace is not None:
+        emit_trace(result, args.trace)
+        payload["trace_path"] = args.trace
     json.dump(payload, sys.stdout, indent=1, sort_keys=True)
     print()
     return EXIT_OK
@@ -172,13 +160,11 @@ def main(argv: list[str] | None = None) -> int:
         if args.command == "budgets":
             return _cmd_budgets(args)
         if args.command == "run":
-            return _cmd_single_run(args, args.trace)
-        if args.command == "trace":
-            return _cmd_single_run(args, args.out)
+            return _cmd_run(args)
         if args.command == "experiment":
             return _cmd_experiment(args)
         parser.error(f"unknown command {args.command!r}")
-    except (GraphFormatError, ValueError, FileNotFoundError, json.JSONDecodeError, KeyError) as exc:
+    except (GraphFormatError, ValueError, FileNotFoundError, KeyError) as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except Exception as exc:  # pragma: no cover - defensive

@@ -4,7 +4,9 @@ A grid config (JSON) names instances (graph file plus weight/budget/alpha/
 surrogate lists), algorithm templates, iteration budgets, and a repetition
 count. Every (cell, repetition) produces one result file under
 ``<output_dir>/runs/``, so interrupted experiments resume by recomputing only
-missing files. Aggregation writes ``results.json`` plus benchmark-style
+the runs whose file is missing, unreadable, or was made by another run
+configuration. Every JSON file is written to a temp file and then moved
+into place. Aggregation writes ``results.json`` plus benchmark-style
 comparison tables (``table.csv`` / ``table.md``) with Kruskal-Wallis gated,
 Bonferroni-corrected pairwise marks.
 
@@ -24,12 +26,12 @@ import sys
 from concurrent.futures import ProcessPoolExecutor
 from collections.abc import Iterator
 from contextlib import closing
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
 
-from .algorithms import RunConfig, RunResult, run
+from .algorithms import RunConfig, RunResult, _config_echo, run
 from .chance import G2Regime
 from .graphs import Graph, load_graph
 from .problem import Instance, SurrogateKind, WeightModel, build_weights, default_budgets
@@ -101,43 +103,41 @@ class ExperimentConfig:
 
 
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
+    """Parse a JSON grid config; the dataclass defaults fill absent keys.
+
+    Raises ValueError naming any key that is not a field of the entry it
+    sits in, so a misspelt key cannot silently run its default.
+    """
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
-    instances = [
-        InstanceSpec(
-            graph=str(_resolve_path(entry["graph"], path.parent)),
-            weights=entry.get("weights", "iid"),
-            a=entry.get("a", 1),
-            d=entry.get("d", 0.5),
-            budgets=tuple(entry["budgets"]) if isinstance(entry.get("budgets"), list) else entry.get("budgets", "grid"),
-            alphas=tuple(entry.get("alphas", (0.1, 0.001))),
-            surrogates=tuple(entry.get("surrogates", ("chebyshev", "chernoff"))),
-            name=entry.get("name", ""),
-        )
-        for entry in doc["instances"]
-    ]
+    instances = []
+    for i, entry in enumerate(doc.get("instances", [])):
+        # The spec is frozen, so its list values (budgets, alphas,
+        # surrogates) become tuples.
+        lists = {k: tuple(v) for k, v in entry.items() if isinstance(v, list)}
+        graph = str(_resolve_path(entry["graph"], path.parent))
+        instances.append(_from_entry(InstanceSpec, entry, f"instances[{i}]", **lists, graph=graph))
     algorithms = [
-        AlgorithmSpec(
-            algorithm=entry["algorithm"],
-            regime=entry.get("regime", "surrogate-g2"),
-            population=entry.get("population", 20),
-            children=entry.get("children", 10),
-            label=entry.get("label", ""),
-        )
-        for entry in doc["algorithms"]
+        _from_entry(AlgorithmSpec, entry, f"algorithms[{i}]") for i, entry in enumerate(doc.get("algorithms", []))
     ]
-    cfg = ExperimentConfig(
-        instances=instances,
-        algorithms=algorithms,
-        t_max=list(doc["t_max"]),
-        repetitions=doc.get("repetitions", DEFAULT_REPETITIONS),
-        base_seed=doc.get("base_seed", 0),
-        output_dir=doc.get("output_dir", "results"),
-        name=doc.get("name", path.stem),
+    cfg = _from_entry(
+        ExperimentConfig, doc, "the config",
+        instances=instances, algorithms=algorithms, name=doc.get("name", path.stem),
     )
     cfg.validate()
     return cfg
+
+
+def _from_entry(cls, entry: dict, where: str, **resolved):
+    """``cls`` from a config entry, with ``resolved`` replacing raw values."""
+    unknown = sorted(set(entry) - {f.name for f in fields(cls)})
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r} in {where}")
+    try:
+        return cls(**{**entry, **resolved})
+    except TypeError as exc:  # a required key is missing
+        raise ValueError(f"{where}: {exc}") from None
 
 
 def _resolve_path(p: str, base: Path) -> Path:
@@ -163,6 +163,7 @@ class Cell:
     t_max: int
     algo: AlgorithmSpec
     algo_index: int
+    graph: Graph = field(compare=False, repr=False)
 
     def cell_id(self) -> str:
         return (
@@ -194,27 +195,15 @@ class ResultSet:
         return not self.errors
 
 
-_GRAPH_CACHE: dict[str, Graph] = {}
-
-
-def _cached_graph(path: str) -> Graph:
-    graph = _GRAPH_CACHE.get(path)
-    if graph is None:
-        graph = load_graph(path)
-        _GRAPH_CACHE[path] = graph
-    return graph
-
-
 def _build_instance(cell: Cell, weight_models: dict[tuple, WeightModel]) -> Instance:
     """The cell's instance; cells that share a (graph, weights, a, d) share
     one weight model."""
-    graph = _cached_graph(cell.graph_path)
     key = (cell.graph_path, cell.weights, cell.a, cell.d)
     weights = weight_models.get(key)
     if weights is None:
-        weights = weight_models[key] = build_weights(graph, cell.weights, a=cell.a, d=cell.d)
+        weights = weight_models[key] = build_weights(cell.graph, cell.weights, a=cell.a, d=cell.d)
     return Instance(
-        graph=graph,
+        graph=cell.graph,
         weights=weights,
         budget=cell.budget,
         alpha=cell.alpha,
@@ -237,19 +226,23 @@ def _run_config(cell: Cell, seed: tuple[int, ...]) -> RunConfig:
 def expand_cells(cfg: ExperimentConfig) -> tuple[list[Cell], list[dict]]:
     """Expansion order fixes each cell's index, which seeds its repetitions.
 
-    Raises ValueError when two cells share a ``cell_id``, which names their
+    Each graph path is loaded once, and its cells share the graph. Raises
+    ValueError when two cells share a ``cell_id``, which names their
     run files: the id leaves out the regime, ``a``, ``d`` and the graph path,
     so such cells need distinct algorithm labels or instance names.
     """
     cells: list[Cell] = []
     errors: list[dict] = []
+    graphs: dict[str, Graph] = {}
     index = 0
     for spec in cfg.instances:
-        try:
-            graph = _cached_graph(spec.graph)
-        except Exception as exc:
-            errors.append({"instance": spec.resolved_name(), "error": str(exc)})
-            continue
+        if spec.graph not in graphs:
+            try:
+                graphs[spec.graph] = load_graph(spec.graph)
+            except Exception as exc:
+                errors.append({"instance": spec.resolved_name(), "error": str(exc)})
+                continue
+        graph = graphs[spec.graph]
         budgets = list(spec.budgets) if spec.budgets != "grid" else default_budgets(graph.n)
         for surrogate in spec.surrogates:
             for budget in budgets:
@@ -270,6 +263,7 @@ def expand_cells(cfg: ExperimentConfig) -> tuple[list[Cell], list[dict]]:
                                     t_max=int(t_max),
                                     algo=algo,
                                     algo_index=algo_index,
+                                    graph=graph,
                                 )
                             )
                             index += 1
@@ -294,7 +288,10 @@ def run_experiment(
 ) -> ResultSet:
     """Execute every (cell, repetition) of the grid and aggregate results.
 
-    Existing per-run files are reused when ``resume`` is set. Failures are
+    With ``resume`` set, a stored run file is reused when it parses and its
+    config echo equals that of the run it stands for (seed, regime, ``a``,
+    ``d``, ``n``, population and children included); any other stored file
+    is recomputed and overwritten, with a line on stderr. Failures are
     collected per run and never abort the rest of the grid.
     """
     cfg.validate()
@@ -313,25 +310,25 @@ def run_experiment(
     # from being built (None when it was built).
     pending: list[tuple[Cell, int, str | None]] = []
     for cell in cells:
-        reps = []
-        for rep in range(cfg.repetitions):
-            run_file = runs_dir / f"{cell.cell_id()}__rep{rep}.json"
-            if resume and run_file.exists():
-                with open(run_file, "r", encoding="utf-8") as fh:
-                    records[(cell.index, rep)] = json.load(fh)
-            else:
-                reps.append(rep)
-        if not reps:
-            continue
         try:
             instance = _build_instance(cell, weight_models)
-            run_cfgs = [_run_config(cell, (cfg.base_seed, cell.index, rep)) for rep in reps]
+            run_cfgs = [_run_config(cell, (cfg.base_seed, cell.index, rep)) for rep in range(cfg.repetitions)]
         except Exception as exc:
-            pending += [(cell, rep, _error_text(exc)) for rep in reps]
+            pending += [(cell, rep, _error_text(exc)) for rep in range(cfg.repetitions)]
             continue
-        instances.append(instance)
-        tasks += [(len(instances) - 1, run_cfg) for run_cfg in run_cfgs]
-        pending += [(cell, rep, None) for rep in reps]
+        reps = []
+        for rep, run_cfg in enumerate(run_cfgs):
+            run_file = runs_dir / f"{cell.cell_id()}__rep{rep}.json"
+            if resume and run_file.exists():
+                record = _stored_record(run_file, _config_echo(instance, run_cfg))
+                if record is not None:
+                    records[(cell.index, rep)] = record
+                    continue
+            reps.append(rep)
+        if reps:
+            instances.append(instance)
+            tasks += [(len(instances) - 1, run_cfgs[rep]) for rep in reps]
+            pending += [(cell, rep, None) for rep in reps]
 
     with closing(_run_tasks(instances, tasks, workers)) as outcomes:
         for cell, rep, error in pending:
@@ -343,9 +340,7 @@ def run_experiment(
             record["cell_id"] = cell.cell_id()
             record["repetition"] = rep
             records[(cell.index, rep)] = record
-            run_file = runs_dir / f"{cell.cell_id()}__rep{rep}.json"
-            with open(run_file, "w", encoding="utf-8") as fh:
-                json.dump(record, fh, indent=1, sort_keys=True)
+            _write_json(runs_dir / f"{cell.cell_id()}__rep{rep}.json", record)
             result_set.executed_runs += 1
             if progress:
                 print(f"[{result_set.executed_runs}/{len(pending)}] {record['cell_id']} rep {rep}", file=sys.stderr)
@@ -379,22 +374,47 @@ def run_experiment(
         }
         result_set.cells.append(entry)
 
-    with open(out / "results.json", "w", encoding="utf-8") as fh:
-        json.dump(
-            {
-                "name": cfg.name,
-                "repetitions": cfg.repetitions,
-                "base_seed": cfg.base_seed,
-                "algorithms": result_set.algorithm_labels,
-                "cells": result_set.cells,
-                "errors": result_set.errors,
-            },
-            fh,
-            indent=1,
-            sort_keys=True,
-        )
+    _write_json(
+        out / "results.json",
+        {
+            "name": cfg.name,
+            "repetitions": cfg.repetitions,
+            "base_seed": cfg.base_seed,
+            "algorithms": result_set.algorithm_labels,
+            "cells": result_set.cells,
+            "errors": result_set.errors,
+        },
+    )
     emit_table(result_set, out)
     return result_set
+
+
+def _stored_record(path: Path, echo: dict) -> dict | None:
+    """The record stored at ``path`` if it parses and its config is ``echo``."""
+    try:
+        with open(path, "r", encoding="utf-8") as fh:
+            record = json.load(fh)
+    except (OSError, ValueError) as exc:
+        reason = f"is unreadable ({exc})"
+    else:
+        if isinstance(record, dict) and record.get("config") == echo:
+            return record
+        reason = "was made by another run configuration"
+    print(f"recomputing {path}: the stored run file {reason}", file=sys.stderr)
+    return None
+
+
+def _write_json(path: Path, doc: dict) -> None:
+    """Write ``doc`` to a temp file beside ``path``, then move it into place,
+    so ``path`` never holds a partly written document."""
+    tmp = path.with_name(f"{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "w", encoding="utf-8") as fh:
+            json.dump(doc, fh, indent=1, sort_keys=True)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 # ---------------------------------------------------------------------------

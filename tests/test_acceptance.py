@@ -32,7 +32,6 @@ from ccsubmod import (
     posthoc_marks,
     run,
     run_repetitions,
-    run_sw_gsemo,
 )
 from ccsubmod.chance import Evaluator
 from ccsubmod.harness import AlgorithmSpec, ExperimentConfig, InstanceSpec, run_experiment
@@ -211,16 +210,16 @@ def test_criterion_6_window_invariants():
 
     inst_iid = Instance(graph=graph, weights=make_iid_weights(300, 1, 0.5),
                         budget=30.0, alpha=0.1, surrogate=SurrogateKind.CHEBYSHEV)
-    res = run_sw_gsemo(inst_iid, RunConfig(algorithm="sw-gsemo", t_max=t_max,
-                                           seed=(BASE_SEED, 60), trace=True))
+    res = run(inst_iid, RunConfig(algorithm="sw-gsemo", t_max=t_max,
+                                  seed=(BASE_SEED, 60), trace=True))
     bounds_bad, occ_bad = _window_checks(res, 30.0, t_max, max_occupancy=1)
     problems += [("iid bounds", bounds_bad), ("iid occupancy", occ_bad)]
 
     inst_deg = Instance(graph=graph, weights=make_degree_weights(graph, 1.0),
                         budget=60.0, alpha=0.1, surrogate=SurrogateKind.CHEBYSHEV)
-    res = run_sw_gsemo(inst_deg, RunConfig(algorithm="sw-gsemo", t_max=t_max,
-                                           seed=(BASE_SEED, 61), regime=G2Regime.EXPECTED,
-                                           trace=True))
+    res = run(inst_deg, RunConfig(algorithm="sw-gsemo", t_max=t_max,
+                                  seed=(BASE_SEED, 61), regime=G2Regime.EXPECTED,
+                                  trace=True))
     bounds_bad, occ_bad = _window_checks(res, 60.0, t_max, max_occupancy=2)
     problems += [("expected bounds", bounds_bad), ("expected occupancy", occ_bad)]
 
@@ -304,15 +303,16 @@ def _desk_case_outcome(i: int) -> dict:
     outcome = {"optimum": optimum, "hits": {}}
 
     # archive insertions replay against the brute-force filter
-    from ccsubmod import ParetoArchive, evaluate
+    from ccsubmod import ParetoArchive
     from ccsubmod.algorithms import Individual
 
     rng = np.random.default_rng(4000 + i)
+    evaluator = Evaluator(instance)
     archive = ParetoArchive()
     pairs = []
     for _ in range(300):
         bits = (rng.random(instance.graph.n) < rng.uniform(0, 0.6)).astype(np.uint8)
-        obj = evaluate(bits, instance)
+        obj = evaluator.evaluate_bits(bits)
         pairs.append((obj.g1, obj.g2))
         archive.insert(Individual(bits=bits, size=int(bits.sum()), expected=0.0,
                                   g1=obj.g1, g2=obj.g2))

@@ -13,17 +13,13 @@ from ccsubmod import (
     make_iid_weights,
     make_rng,
     run,
-    run_gsemo,
-    run_nsga2,
-    run_sw_gsemo,
-    sliding_selection,
 )
 from ccsubmod.algorithms import (
     Individual,
+    _sliding_select,
     bits_from_hex,
     crowding_distance,
     fast_nondominated_sort,
-    window_schedule_budget,
 )
 from conftest import random_sparse_graph
 from oracles import exhaustive_optimum, layered_fronts
@@ -54,53 +50,57 @@ class TestSlidingSelection:
 
     def test_t_zero_selects_empty_set_individual(self):
         archive = self.build_archive([(0, 0), (3, 1.9), (5, 2.9)])
-        chosen, in_window = sliding_selection(archive, 0, 100, 10.0, make_rng(0))
+        chosen, in_window, occ = _sliding_select(archive, 0, 100, 10.0, make_rng(0))
         assert (chosen.g1, chosen.g2) == (0.0, 0.0)
-        assert in_window
+        assert in_window and occ == 1
 
     def test_final_window_is_budget_for_integer_budget(self):
         archive = self.build_archive([(0, 0), (4, 20.0), (9, 43.0)])
-        chosen, in_window = sliding_selection(archive, 100, 100, 43.0, make_rng(0))
+        chosen, in_window, occ = _sliding_select(archive, 100, 100, 43.0, make_rng(0))
         assert chosen.g2 == 43.0
-        assert in_window
+        assert in_window and occ == 1
 
     def test_empty_window_falls_back_to_best_below(self):
         # c = 5.4 -> window [5, 6] empty; candidates below are both members
         archive = self.build_archive([(0, 0), (7, 2.3)])
-        chosen, in_window = sliding_selection(archive, 54, 100, 10.0, make_rng(0))
+        chosen, in_window, occ = _sliding_select(archive, 54, 100, 10.0, make_rng(0))
         assert chosen.g1 == 7.0
-        assert not in_window
+        assert not in_window and occ == 0
 
     def test_fallback_prefers_largest_coverage(self):
         archive = self.build_archive([(0, 0), (2, 1.0), (6, 3.0), (9, 8.5)])
         # c = 5.0 -> window [5, 5] empty; best below floor(c) has g1 = 6
-        chosen, in_window = sliding_selection(archive, 50, 100, 10.0, make_rng(0))
+        chosen, in_window, occ = _sliding_select(archive, 50, 100, 10.0, make_rng(0))
         assert chosen.g1 == 6.0
-        assert not in_window
+        assert not in_window and occ == 0
 
     def test_past_budget_selects_uniformly(self):
         archive = self.build_archive([(0, 0), (3, 1.9), (5, 2.9)])
         rng = make_rng(1)
         seen = set()
         for _ in range(100):
-            chosen, in_window = sliding_selection(archive, 101, 100, 10.0, rng)
-            assert not in_window
+            chosen, in_window, occ = _sliding_select(archive, 101, 100, 10.0, rng)
+            assert not in_window and occ == 0
             seen.add(chosen.g2)
         assert len(seen) == 3
 
     def test_window_membership_for_uniform_choice(self):
+        # c = 4.5 -> window [4, 5] holds the members at g2 = 4.6 and 5.0
         archive = self.build_archive([(0, 0), (2, 4.6), (3, 5.0), (9, 9.0)])
         rng = make_rng(2)
+        seen = set()
         for _ in range(50):
-            chosen, in_window = sliding_selection(archive, 50, 100, 10.0, rng)
-            assert in_window
+            chosen, in_window, occ = _sliding_select(archive, 45, 100, 10.0, rng)
+            assert in_window and occ == 2
             assert 4 <= chosen.g2 <= 5
+            seen.add(chosen.g2)
+        assert seen == {4.6, 5.0}
 
 
 class TestArchiveRuns:
     def test_tmax_zero_returns_empty_set_archive(self):
         inst = small_instance()
-        result = run_gsemo(inst, RunConfig(algorithm="gsemo", t_max=0, seed=1))
+        result = run(inst, RunConfig(algorithm="gsemo", t_max=0, seed=1))
         assert result.best_g1 == 0.0
         assert result.archive_size == 1
         assert result.final_objectives == [(0.0, 0.0)]
@@ -115,14 +115,14 @@ class TestArchiveRuns:
 
     def test_empty_set_individual_persists(self):
         inst = small_instance(seed=4)
-        result = run_gsemo(inst, RunConfig(algorithm="gsemo", t_max=5_000, seed=6))
+        result = run(inst, RunConfig(algorithm="gsemo", t_max=5_000, seed=6))
         assert (0.0, 0.0) in result.final_objectives
 
     def test_deterministic_given_seed(self):
         inst = small_instance(seed=5)
         cfg = RunConfig(algorithm="sw-gsemo", t_max=5_000, seed=42, trace=True)
-        a = run_sw_gsemo(inst, cfg)
-        b = run_sw_gsemo(inst, cfg)
+        a = run(inst, cfg)
+        b = run(inst, cfg)
         assert a.best_g1 == b.best_g1
         assert a.best_bits_hex == b.best_bits_hex
         assert a.archive_size == b.archive_size
@@ -141,7 +141,7 @@ class TestArchiveRuns:
         from ccsubmod import coverage_count
 
         inst = small_instance(seed=7)
-        result = run_gsemo(inst, RunConfig(algorithm="gsemo", t_max=5_000, seed=1))
+        result = run(inst, RunConfig(algorithm="gsemo", t_max=5_000, seed=1))
         bits = bits_from_hex(result.best_bits_hex, inst.graph.n)
         assert coverage_count(inst.graph, bits) == result.best_g1
 
@@ -155,7 +155,7 @@ class TestArchiveRuns:
     def test_window_invariants_on_trace(self):
         inst = small_instance(seed=9, n=40, budget=12.0)
         t_max = 30_000
-        result = run_sw_gsemo(inst, RunConfig(algorithm="sw-gsemo", t_max=t_max, seed=3, trace=True))
+        result = run(inst, RunConfig(algorithm="sw-gsemo", t_max=t_max, seed=3, trace=True))
         tr = result.trace
         t = np.arange(1, t_max + 1)
         c_hat = t / t_max * inst.budget
@@ -169,13 +169,13 @@ class TestArchiveRuns:
         inst = small_instance(seed=10, n=40, budget=14.0, weights="degree")
         cfg = RunConfig(algorithm="sw-gsemo", t_max=30_000, seed=4,
                         regime=G2Regime.EXPECTED, trace=True)
-        result = run_sw_gsemo(inst, cfg)
+        result = run(inst, cfg)
         assert result.trace.window_count.max() <= 2
 
     def test_expected_regime_archive_uses_expected_weight(self):
         inst = small_instance(seed=11, weights="degree")
         cfg = RunConfig(algorithm="sw-gsemo", t_max=5_000, seed=5, regime=G2Regime.EXPECTED)
-        result = run_sw_gsemo(inst, cfg)
+        result = run(inst, cfg)
         for g1, g2 in result.final_objectives:
             assert g2 == int(g2)  # integer means -> integer archive objective
 
@@ -204,17 +204,12 @@ class TestArchiveRuns:
         assert [r.best_g1 for r in results] == [optimum, optimum]
         assert all(r.peak_archive_size <= 44 for r in results)
 
-    def test_window_schedule_budget_helper(self):
-        assert window_schedule_budget(100, 10) == math.ceil(math.e * 10 * 100 * math.log(1000))
-        with pytest.raises(ValueError):
-            window_schedule_budget(0, 5)
-
 
 class TestNsga2:
     def test_one_generation_creates_exactly_children_count(self):
         inst = small_instance(seed=12)
         cfg = RunConfig(algorithm="nsga2", t_max=10, seed=1, population=20, children=10)
-        result = run_nsga2(inst, cfg)
+        result = run(inst, cfg)
         assert result.evaluations == 10 + 1  # one generation of children + initial
 
     def test_lambda_cannot_exceed_mu(self):
@@ -229,12 +224,12 @@ class TestNsga2:
         inst = small_instance(seed=13)
         optimum, _ = exhaustive_optimum(inst)
         cfg = RunConfig(algorithm="nsga2", t_max=20_000, seed=2, population=20, children=10)
-        assert run_nsga2(inst, cfg).best_g1 == optimum
+        assert run(inst, cfg).best_g1 == optimum
 
     def test_deterministic(self):
         inst = small_instance(seed=14)
         cfg = RunConfig(algorithm="nsga2", t_max=3_000, seed=9, population=20, children=10)
-        a, b = run_nsga2(inst, cfg), run_nsga2(inst, cfg)
+        a, b = run(inst, cfg), run(inst, cfg)
         assert a.best_g1 == b.best_g1
         assert a.best_bits_hex == b.best_bits_hex
 

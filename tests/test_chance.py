@@ -9,16 +9,13 @@ from hypothesis import strategies as st
 from ccsubmod import (
     Evaluator,
     G2Regime,
+    Graph,
     Instance,
     Objectives,
     SurrogateKind,
     dominates,
-    evaluate,
-    expected_weight,
     make_degree_weights,
     make_iid_weights,
-    surrogate_weight,
-    weight_variance,
 )
 from oracles import adjacency_lists, naive_coverage, naive_objectives
 
@@ -27,6 +24,25 @@ def bitvec(n, ones):
     x = np.zeros(n, dtype=np.uint8)
     x[list(ones)] = 1
     return x
+
+
+def edgeless_evaluator(w, alpha=0.1, kind=SurrogateKind.CHEBYSHEV, budget=1e9, regime=G2Regime.SURROGATE):
+    """Evaluator over an edgeless graph, where a selection covers only itself."""
+    graph = Graph.from_edges(w.n, np.empty((0, 2), dtype=np.int64))
+    instance = Instance(graph=graph, weights=w, budget=budget, alpha=alpha, surrogate=kind)
+    return Evaluator(instance, regime)
+
+
+def expected_weight(x, w):
+    """The g2 of the expected-weight regime: the sum of selected means."""
+    return edgeless_evaluator(w, regime=G2Regime.EXPECTED).evaluate_bits(x).g2
+
+
+def chebyshev_variance(w, k):
+    """Variance of the total of the first k weights as the Chebyshev surrogate
+    sees it: at alpha = 1/2 the surrogate is E + sqrt(V)."""
+    e = float(w.expected[:k].sum())
+    return (edgeless_evaluator(w, alpha=0.5).surrogate_from(e, k) - e) ** 2
 
 
 class TestExpectedWeight:
@@ -47,12 +63,12 @@ class TestExpectedWeight:
 
 class TestWeightVariance:
     def test_empty_is_zero(self):
-        assert weight_variance(np.zeros(4), make_iid_weights(4, 1, 0.5)) == 0.0
+        assert chebyshev_variance(make_iid_weights(4, 1, 0.5), 0) == 0.0
 
     @pytest.mark.parametrize("d,k,expected", [(0.5, 12, 1.0), (1.0, 3, 1.0)])
     def test_formula(self, d, k, expected):
         w = make_iid_weights(20, 2, d)
-        assert weight_variance(bitvec(20, range(k)), w) == pytest.approx(expected)
+        assert chebyshev_variance(w, k) == pytest.approx(expected)
 
     def test_matches_monte_carlo(self):
         # sum of 12 independent uniforms on [a-d, a+d]
@@ -60,7 +76,7 @@ class TestWeightVariance:
         rng = np.random.default_rng(42)
         samples = rng.uniform(-d, d, size=(1_000_000, k)).sum(axis=1)
         w = make_iid_weights(20, 1, d)
-        exact = weight_variance(bitvec(20, range(k)), w)
+        exact = chebyshev_variance(w, k)
         assert abs(samples.var() - exact) / exact < 0.01
 
 
@@ -68,28 +84,27 @@ class TestSurrogateWeight:
     def test_empty_selection_is_zero(self):
         w = make_iid_weights(6, 1, 0.5)
         for kind in SurrogateKind:
-            assert surrogate_weight(np.zeros(6), w, 0.1, kind) == 0.0
+            assert edgeless_evaluator(w, 0.1, kind).surrogate_from(0.0, 0) == 0.0
 
     def test_chebyshev_hand_value(self):
-        w = make_iid_weights(20, 1, 0.5)
-        value = surrogate_weight(bitvec(20, range(12)), w, 0.1, SurrogateKind.CHEBYSHEV)
-        assert value == pytest.approx(15.0, abs=1e-12)
+        ev = edgeless_evaluator(make_iid_weights(20, 1, 0.5), 0.1, SurrogateKind.CHEBYSHEV)
+        assert ev.surrogate_from(12.0, 12) == pytest.approx(15.0, abs=1e-12)
 
     def test_chernoff_hand_value(self):
-        w = make_iid_weights(10, 1, 0.5)
-        value = surrogate_weight(bitvec(10, range(3)), w, math.exp(-1), SurrogateKind.CHERNOFF)
-        assert value == pytest.approx(3 + math.sqrt(4.5), abs=1e-12)
+        ev = edgeless_evaluator(make_iid_weights(10, 1, 0.5), math.exp(-1), SurrogateKind.CHERNOFF)
+        assert ev.surrogate_from(3.0, 3) == pytest.approx(3 + math.sqrt(4.5), abs=1e-12)
 
     def test_alpha_out_of_range(self):
         w = make_iid_weights(4, 1, 0.5)
         for alpha in (0.0, 1.0, -0.5, 2.0):
             with pytest.raises(ValueError):
-                surrogate_weight(np.zeros(4), w, alpha, SurrogateKind.CHEBYSHEV)
+                edgeless_evaluator(w, alpha, SurrogateKind.CHEBYSHEV)
 
     def test_strictly_increasing_in_selection_size(self):
         w = make_iid_weights(30, 1, 0.5)
         for kind in SurrogateKind:
-            values = [surrogate_weight(bitvec(30, range(k)), w, 0.05, kind) for k in range(31)]
+            ev = edgeless_evaluator(w, 0.05, kind)
+            values = [ev.surrogate_from(float(k), k) for k in range(31)]
             assert all(b > a for a, b in zip(values, values[1:]))
 
     def test_tail_bound_crossover_with_alpha(self):
@@ -97,14 +112,14 @@ class TestSurrogateWeight:
         # one at alpha = 0.1 and the Chernoff one at alpha = 0.001, for every
         # non-empty selection size.
         w = make_iid_weights(200, 1, 0.5)
+        cheb_01, chern_01, cheb_001, chern_001 = (
+            edgeless_evaluator(w, alpha, kind)
+            for alpha in (0.1, 0.001)
+            for kind in (SurrogateKind.CHEBYSHEV, SurrogateKind.CHERNOFF)
+        )
         for k in range(1, 201):
-            x = bitvec(200, range(k))
-            cheb_01 = surrogate_weight(x, w, 0.1, SurrogateKind.CHEBYSHEV)
-            chern_01 = surrogate_weight(x, w, 0.1, SurrogateKind.CHERNOFF)
-            cheb_001 = surrogate_weight(x, w, 0.001, SurrogateKind.CHEBYSHEV)
-            chern_001 = surrogate_weight(x, w, 0.001, SurrogateKind.CHERNOFF)
-            assert cheb_01 < chern_01
-            assert chern_001 < cheb_001
+            assert cheb_01.surrogate_from(k, k) < chern_01.surrogate_from(k, k)
+            assert chern_001.surrogate_from(k, k) < cheb_001.surrogate_from(k, k)
 
     @pytest.mark.parametrize(
         "kind,alpha,k_max",
@@ -118,12 +133,12 @@ class TestSurrogateWeight:
     def test_feasible_size_thresholds_at_budget_43(self, kind, alpha, k_max):
         # Largest selection size whose surrogate stays within B = 43 for unit
         # means and d = 0.5; derived by scanning the closed-form expression.
-        w = make_iid_weights(60, 1, 0.5)
-        sizes = [
-            k for k in range(60)
-            if surrogate_weight(bitvec(60, range(k)), w, alpha, kind) <= 43.0
-        ]
+        # The evaluator's own feasibility test must agree with the surrogate.
+        ev = edgeless_evaluator(make_iid_weights(60, 1, 0.5), alpha, kind, budget=43.0)
+        sizes = [k for k in range(60) if ev.surrogate_from(float(k), k) <= 43.0]
         assert max(sizes) == k_max
+        feasible = [k for k in range(60) if ev.evaluate_bits(bitvec(60, range(k))).g1 >= 0]
+        assert feasible == sizes
 
     def test_matches_naive_formula(self):
         rng = np.random.default_rng(9)
@@ -132,7 +147,8 @@ class TestSurrogateWeight:
             for _ in range(50):
                 x = (rng.random(40) < 0.3).astype(np.uint8)
                 alpha = float(rng.uniform(0.001, 0.5))
-                got = surrogate_weight(x, w, alpha, kind)
+                idx = np.flatnonzero(x)
+                got = edgeless_evaluator(w, alpha, kind).surrogate_from(float(w.expected[idx].sum()), len(idx))
                 want = naive_surrogate_of(x, w, alpha, kind.value)
                 assert got == pytest.approx(want, rel=1e-12)
 
@@ -147,17 +163,17 @@ def naive_surrogate_of(x, w, alpha, kind):
 
 class TestEvaluate:
     def test_empty_selection(self, toy_instance):
-        assert evaluate(np.zeros(5, dtype=np.uint8), toy_instance) == Objectives(0.0, 0.0)
+        assert Evaluator(toy_instance).evaluate_bits(np.zeros(5, dtype=np.uint8)) == Objectives(0.0, 0.0)
 
     def test_infeasible_sentinel(self, toy_instance):
         # all five nodes: surrogate 5 + sqrt(0.75*5) > 3 = B
-        obj = evaluate(np.ones(5, dtype=np.uint8), toy_instance)
+        obj = Evaluator(toy_instance).evaluate_bits(np.ones(5, dtype=np.uint8))
         assert obj.g1 == -1.0
         assert obj.g2 > toy_instance.budget
 
     def test_sentinel_always_from_surrogate_even_in_expected_regime(self, toy_instance):
         x = bitvec(5, range(3))  # surrogate 3 + sqrt(0.75*3) > 3, expected 3 <= 3
-        obj = evaluate(x, toy_instance, G2Regime.EXPECTED)
+        obj = Evaluator(toy_instance, G2Regime.EXPECTED).evaluate_bits(x)
         assert obj.g1 == -1.0
         assert obj.g2 == 3.0  # objective itself is the expected weight
 
@@ -165,13 +181,14 @@ class TestEvaluate:
     def test_exhaustive_toy_oracle(self, toy_instance, regime):
         adjacency = adjacency_lists(toy_instance.graph)
         expected = list(toy_instance.weights.expected)
+        ev = Evaluator(toy_instance, G2Regime.parse(regime))
         for bits in itertools.product((0, 1), repeat=5):
             want = naive_objectives(
                 bits, adjacency, expected, toy_instance.weights.dispersion,
                 toy_instance.alpha, toy_instance.budget,
                 toy_instance.surrogate.value, regime,
             )
-            got = evaluate(np.array(bits, dtype=np.uint8), toy_instance, G2Regime.parse(regime))
+            got = ev.evaluate_bits(np.array(bits, dtype=np.uint8))
             assert got.g1 == want[0]
             assert got.g2 == pytest.approx(want[1], rel=1e-12)
 

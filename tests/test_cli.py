@@ -193,6 +193,29 @@ class TestExperiment:
         assert [len(c["best_g1"]) for c in results["cells"]] == [2, 2, 0]
         assert [e["repetition"] for e in results["errors"]] == [0, 1]
 
+    def test_unknown_config_key_is_config_error(self, graph_file, tmp_path):
+        doc = json.loads(self.write_config(graph_file, tmp_path, "out7").read_text())
+        doc["instances"][0]["alpha"] = [0.5]
+        p = tmp_path / "typo.json"
+        p.write_text(json.dumps(doc))
+        code, _, err = cli("experiment", "--config", str(p), "--workers", "1")
+        assert code == 2
+        assert "'alpha'" in err
+        assert not (tmp_path / "out7").exists()
+
+    def test_resume_recomputes_truncated_run_file(self, graph_file, tmp_path):
+        cfg = self.write_config(graph_file, tmp_path, "out8")
+        assert cli("experiment", "--config", str(cfg), "--workers", "1")[0] == 0
+        victim = sorted((tmp_path / "out8" / "runs").glob("*.json"))[0]
+        whole = victim.read_text()
+        victim.write_text(whole[: len(whole) // 2])
+        code, _, err = cli("experiment", "--config", str(cfg), "--workers", "1", "--resume")
+        assert code == 0
+        assert str(victim) in err
+        recomputed, original = json.loads(victim.read_text()), json.loads(whole)
+        del recomputed["wall_time_s"], original["wall_time_s"]
+        assert recomputed == original
+
     def test_resume_completes_missing_cells(self, graph_file, tmp_path):
         cfg = self.write_config(graph_file, tmp_path, "out4")
         assert cli("experiment", "--config", str(cfg), "--workers", "1")[0] == 0
@@ -201,12 +224,3 @@ class TestExperiment:
         code, _, _ = cli("experiment", "--config", str(cfg), "--workers", "1", "--resume")
         assert code == 0
         assert len(list((tmp_path / "out4" / "runs").glob("*.json"))) == len(runs)
-
-
-class TestTraceCommand:
-    def test_trace_subcommand(self, graph_file, tmp_path):
-        out_csv = tmp_path / "t.csv"
-        code, out, _ = cli("trace", "--graph", str(graph_file), *RUN_FLAGS, "--out", str(out_csv))
-        assert code == 0
-        assert out_csv.exists()
-        assert json.loads(out)["trace_path"] == str(out_csv)

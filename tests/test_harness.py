@@ -14,9 +14,9 @@ from ccsubmod import (
     emit_trace,
     load_experiment_config,
     make_iid_weights,
+    run,
     run_experiment,
     run_repetitions,
-    run_sw_gsemo,
 )
 from ccsubmod.harness import AlgorithmSpec, ExperimentConfig, InstanceSpec, expand_cells
 from conftest import random_sparse_graph
@@ -139,6 +139,62 @@ class TestRunExperiment:
         assert results.executed_runs == 1
         assert results.ok
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda cfg: replace(cfg, base_seed=cfg.base_seed + 1),
+            lambda cfg: replace(cfg, instances=[replace(cfg.instances[0], d=0.25)]),
+        ],
+        ids=["base_seed", "d"],
+    )
+    def test_resume_after_config_edit_recomputes_every_run(self, graph_file, tmp_path, capsys, edit):
+        # Neither the seed nor d is part of a run file's name.
+        out = tmp_path / "out"
+        run_experiment(small_config(graph_file, out), workers=1)
+        capsys.readouterr()
+        resumed = run_experiment(edit(small_config(graph_file, out)), workers=1, resume=True)
+        assert resumed.executed_runs == 6
+        assert capsys.readouterr().err.count("recomputing") == 6
+        fresh = run_experiment(edit(small_config(graph_file, tmp_path / "fresh")), workers=1)
+        assert resumed.cells == fresh.cells
+        for name in ("results.json", "table.csv"):
+            assert (out / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
+
+    def test_graph_file_edited_between_calls_is_reloaded(self, tmp_path):
+        from ccsubmod import Graph, save_edge_list
+
+        path = tmp_path / "edited.txt"
+        save_edge_list(Graph.from_edges(3, np.array([[0, 1], [1, 2]])), path)
+        cfg = small_config(path, tmp_path / "a", reps=1, algorithms=[AlgorithmSpec("gsemo")])
+        cfg.instances = [replace(cfg.instances[0], budgets=(2.0,))]
+        run_experiment(cfg, workers=1)
+        save_edge_list(Graph.from_edges(7, np.array([[i, i + 1] for i in range(6)])), path)
+        run_experiment(replace(cfg, output_dir=str(tmp_path / "b")), workers=1)
+        (run_file,) = (tmp_path / "b" / "runs").glob("*.json")
+        assert json.loads(run_file.read_text())["config"]["n"] == 7
+
+    @pytest.mark.parametrize("edit_seed", [False, True], ids=["results.json", "run-file"])
+    def test_failed_write_keeps_previous_file(self, graph_file, tmp_path, monkeypatch, edit_seed):
+        # A resume over valid files writes only results.json; one after a seed
+        # edit first overwrites a run file.
+        out = tmp_path / "out"
+        cfg = small_config(graph_file, out)
+        run_experiment(cfg, workers=1)
+
+        def files():
+            return {p: p.read_bytes() for p in out.rglob("*") if p.is_file()}
+
+        before = files()
+
+        def dump_then_fail(doc, fh, **kwargs):
+            fh.write('{"best_g1": ')
+            raise OSError("disk full")
+
+        monkeypatch.setattr(json, "dump", dump_then_fail)
+        with pytest.raises(OSError, match="disk full"):
+            run_experiment(replace(cfg, base_seed=cfg.base_seed + edit_seed), workers=1, resume=True)
+        assert files() == before
+
     def test_parallel_matches_serial(self, graph_file, tmp_path):
         serial = run_experiment(small_config(graph_file, tmp_path / "s"), workers=1)
         parallel = run_experiment(small_config(graph_file, tmp_path / "p"), workers=2)
@@ -194,6 +250,23 @@ class TestRunExperiment:
         cells, errors = expand_cells(cfg)
         assert not errors and len(cells) == 2
 
+    @pytest.mark.parametrize(
+        "where,key",
+        [("instance", "alpha"), ("algorithm", "populaton"), ("top", "repetition")],
+    )
+    def test_config_file_unknown_key_rejected(self, graph_file, tmp_path, where, key):
+        doc = {
+            "t_max": [500],
+            "instances": [{"graph": graph_file.name, "budgets": [5]}],
+            "algorithms": [{"algorithm": "nsga2"}],
+        }
+        entry = {"instance": doc["instances"][0], "algorithm": doc["algorithms"][0], "top": doc}[where]
+        entry[key] = [0.5]
+        cfg_path = graph_file.parent / "typo.json"
+        cfg_path.write_text(json.dumps(doc))
+        with pytest.raises(ValueError, match=repr(key)):
+            load_experiment_config(cfg_path)
+
     def test_empty_grid_rejected(self, tmp_path):
         cfg = ExperimentConfig(instances=[], algorithms=[], t_max=[], output_dir=str(tmp_path))
         with pytest.raises(ValueError):
@@ -237,7 +310,7 @@ class TestTrace:
         graph = random_sparse_graph(20, 40, seed=5)
         inst = Instance(graph=graph, weights=make_iid_weights(20, 1, 0.5),
                         budget=5.0, alpha=0.1, surrogate=SurrogateKind.CHEBYSHEV)
-        result = run_sw_gsemo(inst, RunConfig(algorithm="sw-gsemo", t_max=10, seed=1, trace=True))
+        result = run(inst, RunConfig(algorithm="sw-gsemo", t_max=10, seed=1, trace=True))
         path = emit_trace(result, tmp_path / "trace.csv")
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
@@ -249,7 +322,7 @@ class TestTrace:
         graph = random_sparse_graph(20, 40, seed=5)
         inst = Instance(graph=graph, weights=make_iid_weights(20, 1, 0.5),
                         budget=5.0, alpha=0.1, surrogate=SurrogateKind.CHEBYSHEV)
-        result = run_sw_gsemo(inst, RunConfig(algorithm="sw-gsemo", t_max=10, seed=1))
+        result = run(inst, RunConfig(algorithm="sw-gsemo", t_max=10, seed=1))
         with pytest.raises(ValueError):
             emit_trace(result, tmp_path / "trace.csv")
 
@@ -258,8 +331,8 @@ class TestTrace:
         inst = Instance(graph=graph, weights=make_iid_weights(25, 1, 0.5),
                         budget=6.0, alpha=0.1, surrogate=SurrogateKind.CHEBYSHEV)
         cfg = RunConfig(algorithm="sw-gsemo", t_max=500, seed=9, trace=True)
-        p1 = emit_trace(run_sw_gsemo(inst, cfg), tmp_path / "t1.csv")
-        p2 = emit_trace(run_sw_gsemo(inst, cfg), tmp_path / "t2.csv")
+        p1 = emit_trace(run(inst, cfg), tmp_path / "t1.csv")
+        p2 = emit_trace(run(inst, cfg), tmp_path / "t2.csv")
         assert p1.read_bytes() == p2.read_bytes()
 
     def test_accepted_g2_tracks_window_envelope(self):
@@ -269,7 +342,7 @@ class TestTrace:
         inst = Instance(graph=graph, weights=make_iid_weights(60, 1, 0.5),
                         budget=15.0, alpha=0.1, surrogate=SurrogateKind.CHEBYSHEV)
         t_max = 50_000
-        result = run_sw_gsemo(inst, RunConfig(algorithm="sw-gsemo", t_max=t_max, seed=12, trace=True))
+        result = run(inst, RunConfig(algorithm="sw-gsemo", t_max=t_max, seed=12, trace=True))
         tr = result.trace
         accepted = tr.accepted
         t = np.arange(1, t_max + 1)[accepted]
