@@ -74,13 +74,6 @@ class Scored(NamedTuple):
     covered: np.ndarray | None
 
 
-def _check_length(x: np.ndarray, n: int) -> np.ndarray:
-    x = np.asarray(x)
-    if x.shape != (n,):
-        raise ValueError(f"bit vector length {x.shape} != model size {n}")
-    return x
-
-
 def _tail_coefficient(model: WeightModel, alpha: float, kind: SurrogateKind) -> float:
     """c such that the surrogate equals E(x) + c * sqrt(|x|)."""
     d = model.dispersion
@@ -156,7 +149,9 @@ class Evaluator:
 
     def evaluate_bits(self, x: np.ndarray) -> Objectives:
         """Objectives of a 0/1 vector, its size and expected weight summed here."""
-        x = _check_length(x, self.model.n)
+        x = np.asarray(x)
+        if x.shape != (self.model.n,):
+            raise ValueError(f"bit vector length {x.shape} != model size {self.model.n}")
         bits = (x != 0).view(np.uint8)
         idx = np.flatnonzero(bits)
         g1, g2, _ = self.evaluate_from_stats(bits, len(idx), float(self.model.expected[idx].sum()))
