@@ -37,6 +37,22 @@ ALPHA = 0.1
 D = 0.5
 
 
+# NSGA-II cases beyond the grid: (label, graph index, surrogate, regime,
+# weights, alpha, t_max, population, children). They cover a large
+# population, mu = lambda, a t_max that lambda does not divide, and a tight
+# Chernoff bound under which most children are infeasible.
+NSGA2_CASES = [
+    ("mu100-lam50", 1, "chebyshev", "surrogate-g2", "iid", ALPHA, 1500, 100, 50),
+    ("mu100-lam50", 2, "chernoff", "expected-g2", "degree", ALPHA, 1000, 100, 50),
+    ("mu-eq-lam", 0, "chebyshev", "surrogate-g2", "degree", ALPHA, 1500, 10, 10),
+    ("mu-eq-lam", 1, "chernoff", "expected-g2", "iid", ALPHA, 1500, 20, 20),
+    ("tmax-not-multiple", 1, "chebyshev", "expected-g2", "degree", ALPHA, 1497, 20, 10),
+    ("tmax-not-multiple", 2, "chebyshev", "surrogate-g2", "iid", ALPHA, 1000, 30, 7),
+    ("tight-chernoff", 0, "chernoff", "surrogate-g2", "degree", 0.001, 1500, 20, 10),
+    ("tight-chernoff", 1, "chernoff", "expected-g2", "degree", 0.001, 1500, 20, 10),
+]
+
+
 def cases() -> list[dict]:
     out = []
     for (n, m, graph_seed, budget, t_max), combo in itertools.product(
@@ -48,6 +64,14 @@ def cases() -> list[dict]:
             "B": budget, "alpha": ALPHA, "surrogate": surrogate, "algorithm": algorithm,
             "regime": regime, "t_max": t_max, "seed": [graph_seed, len(out)],
             "population": 20, "children": 10,
+        })
+    for label, g, surrogate, regime, weights, alpha, t_max, population, children in NSGA2_CASES:
+        n, m, graph_seed, budget, _ = GRAPHS[g]
+        out.append({
+            "n": n, "m": m, "graph_seed": graph_seed, "weights": weights, "d": D,
+            "B": budget, "alpha": alpha, "surrogate": surrogate, "algorithm": "nsga2",
+            "regime": regime, "t_max": t_max, "seed": [graph_seed, len(out)],
+            "population": population, "children": children, "label": label,
         })
     return out
 

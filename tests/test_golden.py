@@ -2,7 +2,8 @@
 
 ``tests/data/golden_runs.json`` holds gsemo, sw-gsemo and nsga2 runs over
 both surrogates, both g2 regimes and both weight models on three random
-graphs. Regenerate it with ``tests/data/make_golden_runs.py`` only when a
+graphs, plus labelled NSGA-II cases with other population sizes, budgets
+and tail bounds. Regenerate it with ``tests/data/make_golden_runs.py`` only when a
 change is meant to alter results.
 """
 
@@ -21,7 +22,8 @@ GOLDEN = json.loads((Path(__file__).parent / "data" / "golden_runs.json").read_t
 
 def _case_id(entry: dict) -> str:
     c = entry["case"]
-    return f"n{c['n']}-{c['algorithm']}-{c['surrogate']}-{c['regime']}-{c['weights']}"
+    base = f"n{c['n']}-{c['algorithm']}-{c['surrogate']}-{c['regime']}-{c['weights']}"
+    return f"{base}-{c['label']}" if "label" in c else base
 
 
 @pytest.mark.parametrize("entry", GOLDEN, ids=[_case_id(e) for e in GOLDEN])
