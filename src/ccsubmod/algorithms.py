@@ -11,7 +11,8 @@ Three algorithms share the bi-objective fitness from :mod:`ccsubmod.chance`:
   0 to the budget over the run.
 * ``nsga2``: classic (mu + lambda) NSGA-II with fast non-dominated sorting
   and crowding distance, binary-tournament parents, uniform crossover and
-  the same bit mutation.
+  the same bit mutation. Its members are sorted arrays of selected node
+  ids, and each generation's children are bred and scored as one batch.
 
 All runs start from the empty selection, are deterministic given their seed,
 and spend exactly one fitness evaluation per offspring (plus one for the
@@ -59,7 +60,7 @@ class Individual:
 
     ``covered`` is the read-only covered mask of a feasible selection, from
     which a child's coverage is updated; it is None when the selection is
-    infeasible or was never scored.
+    infeasible.
     """
 
     bits: np.ndarray
@@ -171,7 +172,7 @@ def _mutation_positions(n: int, rng: np.random.Generator) -> np.ndarray:
         return rng.permutation(n)[:k]
     while True:
         pos = rng.integers(0, n, size=k)
-        if len(np.unique(pos)) == k:
+        if len(set(pos.tolist())) == k:
             return pos
 
 
@@ -481,6 +482,62 @@ def _tournament(
     return np.where(b_wins, b, a)
 
 
+def _tagged(selections: list[np.ndarray], members: np.ndarray, tags: np.ndarray, n: int) -> np.ndarray:
+    """Keys ``tag * n + node`` of each node of ``selections[member]``, one
+    (member, tag) pair after the other."""
+    chosen = [selections[j] for j in members.tolist()]
+    return np.concatenate(chosen) + np.repeat(tags * n, [len(c) for c in chosen])
+
+
+def _odd_keys(keys: np.ndarray) -> np.ndarray:
+    """The distinct keys that occur an odd number of times, sorted.
+
+    Over key sets that each hold distinct keys, this is their symmetric
+    difference: a bit flipped twice is not flipped.
+    """
+    keys = np.sort(keys)
+    first = np.empty(len(keys) + 1, dtype=bool)
+    first[0] = first[-1] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:-1])
+    starts = first.nonzero()[0]
+    odd = (starts[1:] - starts[:-1]) % 2 == 1
+    return keys[starts[:-1][odd]]
+
+
+def _distinct_points(g1: np.ndarray, front: np.ndarray) -> int:
+    """Distinct objective pairs in a non-dominated front.
+
+    Two members of one front with equal g1 have equal g2 (otherwise one
+    would dominate the other), so counting distinct g1 values suffices.
+    """
+    values = np.sort(g1[front])
+    return 1 + int(np.count_nonzero(values[1:] != values[:-1]))
+
+
+def _survivors(
+    g1: np.ndarray, g2: np.ndarray, fronts: list[np.ndarray], mu: int
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Indices, ranks and crowding distances of the mu survivors.
+
+    Whole fronts are taken best first; the front that does not fit is cut
+    to its members with the largest crowding distance (stable on ties).
+    """
+    chosen, ranks, crowd = [], [], []
+    room = mu
+    for front_index, front in enumerate(fronts):
+        dist = crowding_distance(g1, g2, front)
+        if len(front) > room:
+            keep = np.argsort(-dist, kind="stable")[:room]
+            front, dist = front[keep], dist[keep]
+        chosen.append(front)
+        ranks.append(np.full(len(front), front_index, dtype=np.int64))
+        crowd.append(dist)
+        room -= len(front)
+        if room == 0:
+            break
+    return np.concatenate(chosen), np.concatenate(ranks), np.concatenate(crowd)
+
+
 def _run_nsga2(instance: Instance, cfg: RunConfig) -> RunResult:
     """(mu + lambda) NSGA-II on (maximize coverage, minimize g2).
 
@@ -488,92 +545,82 @@ def _run_nsga2(instance: Instance, cfg: RunConfig) -> RunResult:
     ``t_max // children`` generations so the offspring evaluations total
     t_max. Infeasible solutions take the g1 sentinel and need no extra
     constraint handling: every feasible point dominates them.
+
+    Each member is the sorted array of its selected node ids. A generation's
+    children are built as keys ``child * n + node``: a child is its first
+    parent, flipped where uniform crossover takes the second parent's bits
+    and where mutation flips, and all children are scored in one batch.
     """
     start = time.perf_counter()
     rng = make_rng(*cfg.seed_tuple())
     evaluator = Evaluator(instance, cfg.regime)
     n = instance.graph.n
-    expected_arr = instance.weights.expected
     mu, lam = cfg.population, cfg.children
 
-    root = _empty_individual(evaluator, n)
-    population: list[Individual] = [root] * mu
+    root_g1, root_g2 = evaluator.evaluate_groups(_EMPTY_POSITIONS, _EMPTY_POSITIONS, 1)
+    population: list[np.ndarray] = [_EMPTY_POSITIONS] * mu
+    pop_g1 = np.repeat(root_g1, mu)
+    pop_g2 = np.repeat(root_g2, mu)
     rank = np.zeros(mu, dtype=np.int64)
     crowd = np.full(mu, np.inf)
-    best = root
+    best_g1, best = float(root_g1[0]), _EMPTY_POSITIONS
     peak_tradeoffs = 1
 
     crossover_rate = 0.9
-    generations = cfg.t_max // lam
-    for _ in range(generations):
-        children: list[Individual] = []
+    child_ids = np.arange(lam, dtype=np.int64)
+    child_starts = np.arange(lam + 1, dtype=np.int64) * n
+    for _ in range(cfg.t_max // lam):
         parents_a = _tournament(rank, crowd, rng, lam)
         parents_b = _tournament(rank, crowd, rng, lam)
         do_cross = rng.random(lam) < crossover_rate
-        for i in range(lam):
-            p1 = base = population[parents_a[i]]
-            if do_cross[i]:
-                p2 = population[parents_b[i]]
-                diff = np.flatnonzero(p1.bits != p2.bits)
-                take = diff[rng.random(len(diff)) < 0.5]
-                if len(take):
-                    # Uniform crossover flips p1's bits where p2's are taken.
-                    # The result has no covered mask, so its coverage is
-                    # recomputed.
-                    bits, size, expected = _spawn_child(p1, take, expected_arr)
-                    base = Individual(bits=bits, size=size, expected=expected, g1=0.0, g2=0.0)
+        firsts = _tagged(population, parents_a, child_ids, n)
+        # The bits in which each child's parents differ, ascending, as
+        # np.flatnonzero(p1_bits != p2_bits) would list them.
+        diff = _odd_keys(np.concatenate([firsts, _tagged(population, parents_b, child_ids, n)]))
+        bounds = np.searchsorted(diff, child_starts).tolist()
+        flips = [firsts]
+        for i, cross in enumerate(do_cross.tolist()):
+            if cross:
+                # Uniform crossover flips p1's bits where p2's are taken.
+                d = diff[bounds[i] : bounds[i + 1]]
+                flips.append(d[rng.random(len(d)) < 0.5])
             pos = _mutation_positions(n, rng)
-            if len(pos) == 0 and base is p1:
-                child = p1
-                evaluator.evaluations += 1
-            else:
-                child = _offspring(evaluator, base, pos, expected_arr)
-            if child.g1 > best.g1:
-                best = child
-            children.append(child)
+            if len(pos):
+                flips.append(pos + i * n)
+        keys = _odd_keys(np.concatenate(flips))
+        owners = keys // n
+        nodes = keys - owners * n
+        g1, g2 = evaluator.evaluate_groups(nodes, owners, lam)
+        ends = np.searchsorted(owners, child_ids, side="right").tolist()
+        children = [nodes[lo:hi] for lo, hi in zip([0] + ends, ends)]
+
+        top = int(np.argmax(g1))
+        if g1[top] > best_g1:
+            best_g1, best = float(g1[top]), children[top]
 
         pool = population + children
-        pool_g1 = np.array([ind.g1 for ind in pool])
-        pool_g2 = np.array([ind.g2 for ind in pool])
+        pool_g1 = np.concatenate([pop_g1, g1])
+        pool_g2 = np.concatenate([pop_g2, g2])
         fronts = fast_nondominated_sort(pool_g1, pool_g2)
-        front0 = fronts[0]
-        distinct = len({(pool_g1[i], pool_g2[i]) for i in front0})
-        peak_tradeoffs = max(peak_tradeoffs, distinct)
+        peak_tradeoffs = max(peak_tradeoffs, _distinct_points(pool_g1, fronts[0]))
+        chosen, rank, crowd = _survivors(pool_g1, pool_g2, fronts, mu)
+        population = [pool[j] for j in chosen.tolist()]
+        pop_g1, pop_g2 = pool_g1[chosen], pool_g2[chosen]
 
-        new_pop: list[Individual] = []
-        new_rank: list[int] = []
-        new_crowd: list[float] = []
-        for front_index, front in enumerate(fronts):
-            dist = crowding_distance(pool_g1, pool_g2, front)
-            if len(new_pop) + len(front) <= mu:
-                chosen = np.arange(len(front))
-            else:
-                chosen = np.argsort(-dist, kind="stable")[: mu - len(new_pop)]
-            for c in chosen:
-                new_pop.append(pool[front[c]])
-                new_rank.append(front_index)
-                new_crowd.append(dist[c])
-            if len(new_pop) >= mu:
-                break
-        population = new_pop
-        rank = np.array(new_rank, dtype=np.int64)
-        crowd = np.array(new_crowd)
-
-    final_g1 = np.array([ind.g1 for ind in population])
-    final_g2 = np.array([ind.g2 for ind in population])
-    front0 = fast_nondominated_sort(final_g1, final_g2)[0]
-    final_tradeoffs = len({(final_g1[i], final_g2[i]) for i in front0})
+    front0 = fast_nondominated_sort(pop_g1, pop_g2)[0]
+    best_bits = np.zeros(n, dtype=np.uint8)
+    best_bits[best] = 1
 
     return RunResult(
         algorithm="nsga2",
-        best_g1=best.g1,
-        best_bits_hex=best.bits_hex(),
-        archive_size=final_tradeoffs,
+        best_g1=best_g1,
+        best_bits_hex=np.packbits(best_bits).tobytes().hex(),
+        archive_size=_distinct_points(pop_g1, front0),
         peak_archive_size=peak_tradeoffs,
         evaluations=evaluator.evaluations,
         wall_time_s=time.perf_counter() - start,
         config=_config_echo(instance, cfg),
-        final_objectives=[Objectives(float(final_g1[i]), float(final_g2[i])) for i in front0],
+        final_objectives=[Objectives(float(pop_g1[i]), float(pop_g2[i])) for i in front0],
     )
 
 

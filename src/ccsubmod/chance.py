@@ -29,7 +29,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .graphs import coverage_of_indices, update_coverage
+from .graphs import coverage_of_groups, coverage_of_indices, update_coverage
 from .problem import Instance, SurrogateKind, WeightModel
 
 __all__ = [
@@ -146,6 +146,26 @@ class Evaluator:
             g1 = int(np.count_nonzero(covered))
         covered.setflags(write=False)
         return Scored(float(g1), g2, covered)
+
+    def evaluate_groups(
+        self, nodes: np.ndarray, groups: np.ndarray, count: int
+    ) -> tuple[np.ndarray, np.ndarray]:
+        """Score ``count`` selections at once; returns their (g1, g2) arrays.
+
+        Selection g holds the distinct node ids ``nodes[groups == g]``. Its
+        size and expected weight are summed with ``bincount``, exactly,
+        since the means are integers; only feasible selections get their
+        coverage counted. This counts ``count`` evaluations.
+        """
+        self.evaluations += count
+        size = np.bincount(groups, minlength=count)
+        expected = np.bincount(groups, weights=self.model.expected[nodes], minlength=count)
+        sg = expected + self.tail_coefficient * np.sqrt(size)
+        g2 = sg if self.regime is G2Regime.SURROGATE else expected
+        feasible = sg <= self.budget
+        scored = feasible[groups]
+        coverage = coverage_of_groups(self.graph, nodes[scored], groups[scored], count)
+        return np.where(feasible, coverage, INFEASIBLE_G1), g2
 
     def evaluate_bits(self, x: np.ndarray) -> Objectives:
         """Objectives of a 0/1 vector, its size and expected weight summed here."""

@@ -10,7 +10,9 @@ Coverage is held as a covered mask: one bool per node, True when some
 selected node's row contains it. A full computation marks the rows of all
 selected nodes. An update after a few bit flips marks the rows of added
 nodes and rechecks the row of each removed node, so it costs the rows
-around the flipped nodes instead of the whole selection.
+around the flipped nodes instead of the whole selection. Many small
+selections at once are counted without masks, from the rows of their
+selected nodes.
 """
 
 from __future__ import annotations
@@ -27,6 +29,7 @@ __all__ = [
     "save_edge_list",
     "coverage_count",
     "coverage_of_indices",
+    "coverage_of_groups",
     "update_coverage",
 ]
 
@@ -214,13 +217,14 @@ def coverage_count(graph: Graph, selection: np.ndarray) -> int:
     return coverage_of_indices(graph, idx)
 
 
-def _rows(graph: Graph, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The closed rows of ``nodes`` back to back, and where each row starts."""
+def _rows(graph: Graph, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The closed rows of ``nodes`` back to back, where each row starts, and
+    the row lengths."""
     row_ends = graph.indptr[nodes + 1]
     lengths = row_ends - graph.indptr[nodes]
     ends = np.cumsum(lengths)
     positions = np.arange(ends[-1]) + np.repeat(row_ends - ends, lengths)
-    return graph.indices[positions], ends - lengths
+    return graph.indices[positions], ends - lengths, lengths
 
 
 def coverage_of_indices(graph: Graph, idx: np.ndarray, out: np.ndarray | None = None) -> int:
@@ -233,6 +237,25 @@ def coverage_of_indices(graph: Graph, idx: np.ndarray, out: np.ndarray | None = 
     if len(idx):
         covered[_rows(graph, idx)[0]] = True
     return int(np.count_nonzero(covered))
+
+
+def coverage_of_groups(graph: Graph, nodes: np.ndarray, groups: np.ndarray, count: int) -> np.ndarray:
+    """Coverage values of ``count`` selections given as (group, node) pairs.
+
+    Selection g holds ``nodes[groups == g]``. The rows of all nodes are tagged with their group as keys
+    ``group * n + node`` and counted once each, so the scratch memory is
+    proportional to the total row length, not to ``count * n``.
+    """
+    if len(nodes) == 0:
+        return np.zeros(count, dtype=np.int64)
+    covered, _, lengths = _rows(graph, nodes)
+    keys = np.repeat(groups * np.int64(graph.n), lengths) + covered
+    keys.sort()
+    first = np.empty(len(keys), dtype=bool)
+    first[0] = True
+    np.not_equal(keys[1:], keys[:-1], out=first[1:])
+    edges = keys[first].searchsorted(np.arange(count + 1) * np.int64(graph.n))
+    return edges[1:] - edges[:-1]
 
 
 def update_coverage(graph: Graph, covered: np.ndarray, bits: np.ndarray, flipped: np.ndarray) -> None:
@@ -253,5 +276,5 @@ def update_coverage(graph: Graph, covered: np.ndarray, bits: np.ndarray, flipped
             lost.append(row)
     if lost:
         recheck = lost[0] if len(lost) == 1 else np.concatenate(lost)
-        around, offsets = _rows(graph, recheck)
+        around, offsets, _ = _rows(graph, recheck)
         covered[recheck] = np.maximum.reduceat(bits[around], offsets)

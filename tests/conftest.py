@@ -33,6 +33,19 @@ def random_sparse_graph(n: int, m: int, seed: int) -> Graph:
     return Graph.from_edges(n, edges)
 
 
+# Graphs with the shapes that coverage computations must get right: isolated
+# trailing nodes (rows of length one), a hub whose row spans the graph, and
+# input edges that are duplicated or self loops.
+GRAPHS = {
+    "isolated-tail": Graph.from_edges(12, np.array([[0, 1], [1, 2], [2, 3], [3, 0], [4, 5]])),
+    "star": Graph.from_edges(10, np.array([[0, v] for v in range(1, 10)])),
+    "duplicates-and-loops": Graph.from_edges(
+        8, np.array([[0, 1], [1, 0], [0, 1], [2, 2], [3, 4], [4, 3], [5, 5], [6, 7], [7, 6], [1, 6]])
+    ),
+    "random": random_sparse_graph(30, 60, seed=11),
+}
+
+
 @pytest.fixture
 def triangle() -> Graph:
     return Graph.from_edges(3, np.array([[0, 1], [1, 2], [0, 2]]))

@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ccsubmod import (
     G2Regime,
@@ -21,8 +23,8 @@ from ccsubmod.algorithms import (
     crowding_distance,
     fast_nondominated_sort,
 )
-from conftest import random_sparse_graph
-from oracles import exhaustive_optimum, layered_fronts
+from conftest import GRAPHS, random_sparse_graph
+from oracles import adjacency_lists, exhaustive_optimum, layered_fronts, naive_coverage
 
 
 def ind(g1, g2, size=0):
@@ -262,12 +264,11 @@ class TestFastNondominatedSort:
 
 
 class TestCoverageMasks:
-    """Every scored offspring's covered mask matches a full recomputation."""
+    """Every scored offspring matches a full recomputation and the oracle."""
 
-    def run_checked(self, monkeypatch, algorithm, **cfg):
+    def run_checked(self, monkeypatch, algorithm):
         from ccsubmod import algorithms
         from ccsubmod.graphs import coverage_of_indices
-        from oracles import adjacency_lists, naive_coverage
 
         inst = small_instance(seed=21, n=30, budget=9.0, weights="degree")
         adjacency = adjacency_lists(inst.graph)
@@ -287,7 +288,7 @@ class TestCoverageMasks:
             return child
 
         monkeypatch.setattr(algorithms, "_offspring", checked)
-        run(inst, RunConfig(algorithm=algorithm, t_max=3_000, seed=5, **cfg))
+        run(inst, RunConfig(algorithm=algorithm, t_max=3_000, seed=5))
         return parents_without_mask
 
     @pytest.mark.parametrize("algorithm", ["gsemo", "sw-gsemo"])
@@ -295,21 +296,61 @@ class TestCoverageMasks:
         # Infeasible selections never enter the archive, so every parent has a mask.
         assert not any(self.run_checked(monkeypatch, algorithm))
 
-    def test_nsga2_crossover_and_maskless_parents(self, monkeypatch):
-        flags = self.run_checked(monkeypatch, "nsga2", population=20, children=10)
-        assert any(flags) and not all(flags)
-
-    def test_crossover_child_recomputed_from_scratch(self):
-        from ccsubmod.algorithms import _offspring, _spawn_child
+    @settings(max_examples=80, deadline=None, derandomize=True)
+    @given(
+        data=st.data(),
+        name=st.sampled_from(sorted(GRAPHS)),
+        weights=st.sampled_from(["iid", "degree"]),
+        surrogate=st.sampled_from(list(SurrogateKind)),
+        regime=st.sampled_from(list(G2Regime)),
+    )
+    def test_batch_evaluator_matches_evaluate_bits_and_oracle(self, data, name, weights, surrogate, regime):
         from ccsubmod.chance import Evaluator
 
-        inst = small_instance(seed=22, n=20, budget=12.0)
-        ev = Evaluator(inst)
-        p1 = Individual(bits=np.zeros(20, dtype=np.uint8), size=0, expected=0.0, g1=0.0, g2=0.0)
-        bits, size, expected = _spawn_child(p1, np.array([1, 4, 9]), inst.weights.expected)
-        base = Individual(bits=bits, size=size, expected=expected, g1=0.0, g2=0.0)
-        child = _offspring(ev, base, np.array([4, 7]), inst.weights.expected)
-        want = ev.evaluate_bits(child.bits)
-        assert (child.size, child.expected) == (3, 3.0)
-        assert (child.g1, child.g2) == tuple(want)
-        assert np.count_nonzero(child.covered) == child.g1
+        g = GRAPHS[name]
+        model = make_iid_weights(g.n, 1, 0.5) if weights == "iid" else make_degree_weights(g, 1.0)
+        budget = data.draw(st.integers(min_value=1, max_value=g.n - 1))
+        inst = Instance(graph=g, weights=model, budget=float(budget), alpha=0.1, surrogate=surrogate)
+        drawn = data.draw(st.lists(st.lists(st.booleans(), min_size=g.n, max_size=g.n), max_size=6))
+        # The empty selection is always feasible; the full one never is, since
+        # every mean is at least 1 and the budget is below n.
+        bits = np.array([[False] * g.n, *drawn, [True] * g.n], dtype=np.uint8)
+        groups, nodes = np.nonzero(bits)
+        evaluator = Evaluator(inst, regime)
+        g1, g2 = evaluator.evaluate_groups(nodes, groups, len(bits))
+        assert evaluator.evaluations == len(bits)
+        adjacency = adjacency_lists(g)
+        reference = Evaluator(inst, regime)
+        for x, got1, got2 in zip(bits, g1.tolist(), g2.tolist()):
+            assert (got1, got2) == tuple(reference.evaluate_bits(x))
+            if got1 >= 0:
+                assert got1 == naive_coverage(adjacency, x)
+        assert g1[0] == 0 and g1[-1] < 0
+
+    def test_nsga2_children_match_oracle(self, monkeypatch):
+        from ccsubmod.chance import Evaluator
+
+        inst = small_instance(seed=21, n=30, budget=9.0, weights="degree")
+        n = inst.graph.n
+        adjacency = adjacency_lists(inst.graph)
+        reference = Evaluator(inst)
+        original = Evaluator.evaluate_groups
+        scored = []
+
+        def checked(self, nodes, groups, count):
+            g1, g2 = original(self, nodes, groups, count)
+            assert len(np.unique(groups * n + nodes)) == len(nodes)
+            bits = np.zeros((count, n), dtype=np.uint8)
+            bits[groups, nodes] = 1
+            for x, got1, got2 in zip(bits, g1.tolist(), g2.tolist()):
+                assert (got1, got2) == tuple(reference.evaluate_bits(x))
+                if got1 >= 0:
+                    assert got1 == naive_coverage(adjacency, x)
+                scored.append(got1)
+            return g1, g2
+
+        monkeypatch.setattr(Evaluator, "evaluate_groups", checked)
+        result = run(inst, RunConfig(algorithm="nsga2", t_max=3_000, seed=5, population=20, children=10))
+        assert len(scored) == result.evaluations == 3_001
+        assert min(scored) < 0 < max(scored) == result.best_g1
+        assert naive_coverage(adjacency, bits_from_hex(result.best_bits_hex, n)) == result.best_g1

@@ -3,9 +3,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccsubmod import Graph, GraphFormatError, coverage_count, load_graph, save_edge_list
+from ccsubmod import GraphFormatError, coverage_count, load_graph, save_edge_list
 from ccsubmod.graphs import coverage_of_indices, update_coverage
-from conftest import random_sparse_graph
+from conftest import GRAPHS, random_sparse_graph
 from oracles import adjacency_lists, naive_coverage
 
 
@@ -13,19 +13,6 @@ def write(tmp_path, name, text):
     p = tmp_path / name
     p.write_text(text)
     return p
-
-
-# Graphs with the shapes that coverage updates must get right: isolated
-# trailing nodes (rows of length one), a hub whose row spans the graph, and
-# input edges that are duplicated or self loops.
-GRAPHS = {
-    "isolated-tail": Graph.from_edges(12, np.array([[0, 1], [1, 2], [2, 3], [3, 0], [4, 5]])),
-    "star": Graph.from_edges(10, np.array([[0, v] for v in range(1, 10)])),
-    "duplicates-and-loops": Graph.from_edges(
-        8, np.array([[0, 1], [1, 0], [0, 1], [2, 2], [3, 4], [4, 3], [5, 5], [6, 7], [7, 6], [1, 6]])
-    ),
-    "random": random_sparse_graph(30, 60, seed=11),
-}
 
 
 class TestLoadGraph:
