@@ -12,8 +12,9 @@ Bonferroni-corrected pairwise marks.
 
 Grids and :func:`run_repetitions` share one execution path: the caller
 builds the instances and run configs, each pool worker receives the
-instances once through its initializer, every run's exception comes back
-as that run's error string, and outcomes arrive in task order. Run files
+instances once through its initializer, every run's exception (or a dead
+worker) comes back as that run's error string, and outcomes arrive in task
+order. Run files
 are written by the calling process as each outcome arrives.
 """
 
@@ -23,8 +24,9 @@ import csv
 import json
 import os
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from collections.abc import Iterator
+from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from contextlib import closing
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
@@ -459,14 +461,23 @@ def _run_tasks(
     """Run each ``(instance index, config)`` task; yield outcomes in task order.
 
     A task carries only its index and config, because every worker receives
-    the instance list once. One worker or one task runs in this process.
+    the instance list once. One worker or one task runs in this process. A
+    worker that dies breaks the pool; the first task whose result had not
+    come back and every later one then yield the ``BrokenProcessPool``
+    error as their outcome.
     """
     nworkers = _worker_count(workers)
     if nworkers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(
             max_workers=nworkers, initializer=_init_worker, initargs=(instances,)
         ) as pool:
-            yield from pool.map(_worker_task, tasks)
+            done = 0
+            try:
+                for outcome in pool.map(_worker_task, tasks):
+                    yield outcome
+                    done += 1
+            except BrokenProcessPool as exc:
+                yield from [_error_text(exc)] * (len(tasks) - done)
     else:
         for index, cfg in tasks:
             yield _attempt(instances[index], cfg)

@@ -224,3 +224,32 @@ class TestExperiment:
         code, _, _ = cli("experiment", "--config", str(cfg), "--workers", "1", "--resume")
         assert code == 0
         assert len(list((tmp_path / "out4" / "runs").glob("*.json"))) == len(runs)
+
+    def test_dying_worker_fails_its_runs_and_resume_finishes(self, graph_file, tmp_path):
+        # The patched run kills the worker process of every repetition 1; pool
+        # workers are forked, so they inherit the patch.
+        kill_rep1 = (
+            "import os, sys\n"
+            "from ccsubmod import cli, harness\n"
+            "run = harness.run\n"
+            "harness.run = lambda inst, cfg: os._exit(1) if cfg.seed[2] == 1 else run(inst, cfg)\n"
+            "raise SystemExit(cli.main(sys.argv[1:]))\n"
+        )
+        cfg = self.write_config(graph_file, tmp_path, "out9")
+        proc = subprocess.run(
+            [sys.executable, "-c", kill_rep1, "experiment", "--config", str(cfg), "--workers", "2"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 3
+        results = json.loads((tmp_path / "out9" / "results.json").read_text())
+        assert results["errors"] and all("BrokenProcessPool" in e["error"] for e in results["errors"])
+        failed = {(e["cell_id"], e["repetition"]) for e in results["errors"]}
+        assert {(c["cell_id"], 1) for c in results["cells"]} <= failed
+        assert sum(len(c["best_g1"]) for c in results["cells"]) + len(failed) == 4
+        code, _, _ = cli("experiment", "--config", str(cfg), "--workers", "2", "--resume")
+        assert code == 0
+        (tmp_path / "fresh").mkdir()
+        fresh = self.write_config(graph_file, tmp_path / "fresh", "out9")
+        assert cli("experiment", "--config", str(fresh), "--workers", "2")[0] == 0
+        for name in ("results.json", "table.csv"):
+            assert (tmp_path / "out9" / name).read_bytes() == (tmp_path / "fresh" / "out9" / name).read_bytes()
