@@ -242,9 +242,10 @@ def coverage_of_indices(graph: Graph, idx: np.ndarray, out: np.ndarray | None = 
 def coverage_of_groups(graph: Graph, nodes: np.ndarray, groups: np.ndarray, count: int) -> np.ndarray:
     """Coverage values of ``count`` selections given as (group, node) pairs.
 
-    Selection g holds ``nodes[groups == g]``. The rows of all nodes are tagged with their group as keys
-    ``group * n + node`` and counted once each, so the scratch memory is
-    proportional to the total row length, not to ``count * n``.
+    Selection g holds ``nodes[groups == g]``. The rows of all nodes are
+    tagged with their group as keys ``group * n + node`` and counted once
+    each, so the scratch memory is proportional to the total row length,
+    not to ``count * n``.
     """
     if len(nodes) == 0:
         return np.zeros(count, dtype=np.int64)

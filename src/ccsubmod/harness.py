@@ -14,8 +14,8 @@ Grids and :func:`run_repetitions` share one execution path: the caller
 builds the instances and run configs, each pool worker receives the
 instances once through its initializer, every run's exception (or a dead
 worker) comes back as that run's error string, and outcomes arrive in task
-order. Run files
-are written by the calling process as each outcome arrives.
+order. Run files are written by the calling process as each outcome
+arrives.
 """
 
 from __future__ import annotations
