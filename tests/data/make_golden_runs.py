@@ -52,6 +52,15 @@ NSGA2_CASES = [
     ("tight-chernoff", 1, "chernoff", "expected-g2", "degree", 0.001, 1500, 20, 10),
 ]
 
+# Tiny graphs, run by every algorithm under both surrogates: (n, m, graph
+# seed, budget, t_max, weights, regime). At n <= 12 mutation often draws
+# k with k*(k-1) >= n (the permutation branch) and redraws repeated
+# positions, and NSGA-II pools hold many tied and duplicate points.
+TINY_GRAPHS = [
+    (10, 10, 104, 6.0, 1500, "iid", "surrogate-g2"),
+    (12, 14, 105, 12.0, 1500, "degree", "expected-g2"),
+]
+
 
 def cases() -> list[dict]:
     out = []
@@ -72,6 +81,15 @@ def cases() -> list[dict]:
             "B": budget, "alpha": alpha, "surrogate": surrogate, "algorithm": "nsga2",
             "regime": regime, "t_max": t_max, "seed": [graph_seed, len(out)],
             "population": population, "children": children, "label": label,
+        })
+    for (n, m, graph_seed, budget, t_max, weights, regime), algorithm, surrogate in itertools.product(
+        TINY_GRAPHS, ALGORITHMS, SURROGATES
+    ):
+        out.append({
+            "n": n, "m": m, "graph_seed": graph_seed, "weights": weights, "d": D,
+            "B": budget, "alpha": ALPHA, "surrogate": surrogate, "algorithm": algorithm,
+            "regime": regime, "t_max": t_max, "seed": [graph_seed, len(out)],
+            "population": 20, "children": 10,
         })
     return out
 

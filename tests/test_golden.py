@@ -3,7 +3,8 @@
 ``tests/data/golden_runs.json`` holds gsemo, sw-gsemo and nsga2 runs over
 both surrogates, both g2 regimes and both weight models on three random
 graphs, plus labelled NSGA-II cases with other population sizes, budgets
-and tail bounds. Regenerate it with ``tests/data/make_golden_runs.py`` only when a
+and tail bounds, and every algorithm under both surrogates on two graphs
+with n = 10 and n = 12. Regenerate it with ``tests/data/make_golden_runs.py`` only when a
 change is meant to alter results.
 """
 
