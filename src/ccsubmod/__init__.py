@@ -10,7 +10,7 @@ from .algorithms import (
     run,
 )
 from .chance import Evaluator, G2Regime, Objectives, dominates
-from .graphs import Graph, GraphFormatError, coverage_count, load_graph, save_edge_list
+from .graphs import Graph, GraphFormatError, load_graph, save_edge_list
 from .harness import (
     ExperimentConfig,
     emit_table,
@@ -26,7 +26,6 @@ from .problem import (
     default_budgets,
     make_degree_weights,
     make_iid_weights,
-    sample_weight_totals,
 )
 from .stats import kruskal_wallis, posthoc_marks
 
@@ -45,7 +44,6 @@ __all__ = [
     "dominates",
     "Graph",
     "GraphFormatError",
-    "coverage_count",
     "load_graph",
     "save_edge_list",
     "ExperimentConfig",
@@ -60,7 +58,6 @@ __all__ = [
     "default_budgets",
     "make_degree_weights",
     "make_iid_weights",
-    "sample_weight_totals",
     "kruskal_wallis",
     "posthoc_marks",
     "__version__",

@@ -79,12 +79,6 @@ class Individual:
         return np.packbits(self.bits).tobytes().hex()
 
 
-def bits_from_hex(hex_string: str, n: int) -> np.ndarray:
-    """Inverse of :meth:`Individual.bits_hex`."""
-    raw = np.frombuffer(bytes.fromhex(hex_string), dtype=np.uint8)
-    return np.unpackbits(raw)[:n]
-
-
 class ParetoArchive:
     """Mutually non-dominated individuals, sorted by g2.
 
@@ -162,18 +156,24 @@ def _mutation_positions(n: int, rng: np.random.Generator) -> np.ndarray:
     Sampling the flip count from Binomial(n, 1/n) and then a uniform
     k-subset of positions is distributionally identical to n independent
     coin flips, at O(k) cost.
+
+    The positions are drawn as k scalar ``rng.integers(n)`` calls, which
+    cost far less than one ``rng.integers(0, n, size=k)`` call. On numpy
+    2.4.6 the two give the same values and leave the generator in the same
+    state, so seeded runs reproduce the sized draw's results;
+    ``tests/test_mutation.py`` checks this against the sized draw.
     """
     k = int(rng.binomial(n, 1.0 / n))
     if k == 0:
         return _EMPTY_POSITIONS
     if k == 1:
-        return rng.integers(0, n, size=1)
+        return np.array([rng.integers(n)])
     if k * (k - 1) >= n:
         return rng.permutation(n)[:k]
     while True:
-        pos = rng.integers(0, n, size=k)
-        if len(set(pos.tolist())) == k:
-            return pos
+        pos = [rng.integers(n) for _ in range(k)]
+        if len(set(pos)) == k:
+            return np.array(pos)
 
 
 _EMPTY_POSITIONS = np.empty(0, dtype=np.int64)
@@ -184,18 +184,21 @@ def _spawn_child(
 ) -> tuple[np.ndarray, int, float]:
     """Child bits and incrementally-updated (size, expected) after flips.
 
-    The integer means and +1/-1 signs keep ``expected`` an exact sum.
+    The integer means keep ``expected`` an exact sum.
     """
     bits = parent.bits.copy()
-    old = bits[pos]
-    bits[pos] = old ^ 1
-    sign = _FLIP_SIGN[old]
-    size = parent.size + int(sign.sum())
-    expected = parent.expected + float(expected_arr[pos] @ sign)
+    size, expected = parent.size, parent.expected
+    for p in pos.tolist():
+        weight = expected_arr.item(p)
+        if bits.item(p):
+            bits[p] = 0
+            size -= 1
+            expected -= weight
+        else:
+            bits[p] = 1
+            size += 1
+            expected += weight
     return bits, size, expected
-
-
-_FLIP_SIGN = np.array([1, -1], dtype=np.int64)
 
 
 def _offspring(
@@ -436,24 +439,35 @@ def _run_archive_loop(instance: Instance, cfg: RunConfig, sliding: bool) -> RunR
 # ---------------------------------------------------------------------------
 
 def fast_nondominated_sort(g1: np.ndarray, g2: np.ndarray) -> list[np.ndarray]:
-    """Fronts of indices for (maximize g1, minimize g2), best front first."""
+    """Fronts of indices for (maximize g1, minimize g2), best front first.
+
+    One pass in order of g1 descending, then g2 ascending (Jensen 2003).
+    Every earlier point has at least the current g1, so the point belongs
+    to the first front whose last g2 exceeds its own; those last values
+    ascend with the front index. Equal objective pairs are adjacent in that
+    order and share a front. Each front lists its indices in ascending
+    order.
+    """
     g1 = np.asarray(g1, dtype=float)
     g2 = np.asarray(g2, dtype=float)
-    n = len(g1)
-    ge1 = g1[:, None] >= g1[None, :]
-    le2 = g2[:, None] <= g2[None, :]
-    neq = (g1[:, None] != g1[None, :]) | (g2[:, None] != g2[None, :])
-    dom = ge1 & le2 & neq
-    n_dom = dom.sum(axis=0)
-    assigned = np.zeros(n, dtype=bool)
-    fronts: list[np.ndarray] = []
-    while not assigned.all():
-        current = ~assigned & (n_dom == 0)
-        idx = np.flatnonzero(current)
-        fronts.append(idx)
-        assigned[idx] = True
-        n_dom = n_dom - dom[idx].sum(axis=0)
-    return fronts
+    order = np.lexsort((g2, -g1))
+    ranks = [0] * len(order)
+    tails: list[float] = []
+    last = None
+    front = 0
+    for i, a, b in zip(order.tolist(), g1[order].tolist(), g2[order].tolist()):
+        if (a, b) != last:
+            front = bisect_right(tails, b)
+            if front == len(tails):
+                tails.append(b)
+            else:
+                tails[front] = b
+            last = (a, b)
+        ranks[i] = front
+    ranks = np.array(ranks, dtype=np.int64)
+    members = np.argsort(ranks, kind="stable")
+    ends = np.cumsum(np.bincount(ranks)).tolist()
+    return [members[lo:hi] for lo, hi in zip([0] + ends, ends)]
 
 
 def crowding_distance(g1: np.ndarray, g2: np.ndarray, front: np.ndarray) -> np.ndarray:
@@ -474,12 +488,18 @@ def crowding_distance(g1: np.ndarray, g2: np.ndarray, front: np.ndarray) -> np.n
 
 def _tournament(
     rank: np.ndarray, crowd: np.ndarray, rng: np.random.Generator, count: int
-) -> np.ndarray:
-    """Binary tournaments on (rank asc, crowding desc); first pick wins ties."""
-    a = rng.integers(0, len(rank), size=count)
-    b = rng.integers(0, len(rank), size=count)
+) -> tuple[np.ndarray, np.ndarray]:
+    """Two rounds of ``count`` binary tournaments on (rank asc, crowding
+    desc); the first pick wins ties.
+
+    One draw fills the rows a1, b1, a2, b2 in turn, the values and the
+    generator state four size-``count`` draws in that order would give.
+    """
+    picks = rng.integers(0, len(rank), size=(4, count))
+    a, b = picks[0::2], picks[1::2]
     b_wins = (rank[b] < rank[a]) | ((rank[b] == rank[a]) & (crowd[b] > crowd[a]))
-    return np.where(b_wins, b, a)
+    first, second = np.where(b_wins, b, a)
+    return first, second
 
 
 def _tagged(selections: list[np.ndarray], members: np.ndarray, tags: np.ndarray, n: int) -> np.ndarray:
@@ -570,8 +590,7 @@ def _run_nsga2(instance: Instance, cfg: RunConfig) -> RunResult:
     child_ids = np.arange(lam, dtype=np.int64)
     child_starts = np.arange(lam + 1, dtype=np.int64) * n
     for _ in range(cfg.t_max // lam):
-        parents_a = _tournament(rank, crowd, rng, lam)
-        parents_b = _tournament(rank, crowd, rng, lam)
+        parents_a, parents_b = _tournament(rank, crowd, rng, lam)
         do_cross = rng.random(lam) < crossover_rate
         firsts = _tagged(population, parents_a, child_ids, n)
         # The bits in which each child's parents differ, ascending, as

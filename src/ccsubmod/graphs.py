@@ -27,7 +27,6 @@ __all__ = [
     "GraphFormatError",
     "load_graph",
     "save_edge_list",
-    "coverage_count",
     "coverage_of_indices",
     "coverage_of_groups",
     "update_coverage",
@@ -105,10 +104,6 @@ class Graph:
         dst = np.delete(self.indices, self.indptr[:-1])
         higher = dst > src
         return np.column_stack([src[higher], dst[higher]])
-
-    def closed_neighborhood(self, v: int) -> np.ndarray:
-        """Sorted node ids of v's closed neighborhood ({v} plus neighbors)."""
-        return np.sort(self.indices[self.indptr[v] : self.indptr[v + 1]])
 
 
 def _parse_pairs(path: Path) -> tuple[list[tuple[int, int]], int | None, bool]:
@@ -201,20 +196,6 @@ def save_edge_list(graph: Graph, path: str | Path) -> None:
         fh.write(f"{graph.n} {graph.n} {len(edges)}\n")
         for u, v in edges:
             fh.write(f"{u + offset} {v + offset}\n")
-
-
-def coverage_count(graph: Graph, selection: np.ndarray) -> int:
-    """Number of nodes covered by a selection: |union of closed neighborhoods|.
-
-    ``selection`` is a 0/1 (or boolean) vector of length ``graph.n``. The
-    result is 0 for the empty selection and is monotone submodular in the
-    selected set.
-    """
-    selection = np.asarray(selection)
-    if selection.shape != (graph.n,):
-        raise ValueError(f"selection length {selection.shape} != graph size {graph.n}")
-    idx = np.flatnonzero(selection)
-    return coverage_of_indices(graph, idx)
 
 
 def _rows(graph: Graph, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

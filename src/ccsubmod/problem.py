@@ -23,7 +23,6 @@ __all__ = [
     "make_iid_weights",
     "make_degree_weights",
     "default_budgets",
-    "sample_weight_totals",
 ]
 
 
@@ -136,28 +135,6 @@ class Instance:
             raise ValueError("budget B must be positive")
         if not (0.0 < self.alpha < 1.0):
             raise ValueError("alpha must lie in (0, 1)")
-
-
-def sample_weight_totals(
-    model: WeightModel,
-    selection: np.ndarray,
-    rng: np.random.Generator,
-    samples: int,
-) -> np.ndarray:
-    """Monte-Carlo totals of the stochastic weight of a selection.
-
-    Each selected element draws from the continuous uniform on
-    ``[a_i - d, a_i + d]``; returns ``samples`` independent totals.
-    """
-    selection = np.asarray(selection)
-    if selection.shape != (model.n,):
-        raise ValueError("selection length mismatch")
-    idx = np.flatnonzero(selection)
-    base = float(model.expected[idx].sum())
-    if len(idx) == 0:
-        return np.zeros(samples)
-    noise = rng.uniform(-model.dispersion, model.dispersion, size=(samples, len(idx)))
-    return base + noise.sum(axis=1)
 
 
 def build_weights(graph: Graph, kind: str, a: int = 1, d: float = 0.5) -> WeightModel:

@@ -1,8 +1,13 @@
-"""Independent brute-force reference implementations.
+"""Independent brute-force reference implementations, and test helpers.
 
-Everything in here is deliberately naive (explicit set unions, quadratic
-scans, full enumeration) and shares no code with the optimized library
-paths it is used to check.
+The references are deliberately naive (explicit set unions, quadratic
+scans, full enumeration) and share no code with the optimized library
+paths they are used to check. Two of them pin the random stream: the
+sized draws the optimizers once made, which their cheaper draws must
+reproduce value for value and state for state.
+
+The helpers at the end turn selections between the forms tests use and
+the library's; only tests need them.
 """
 
 from __future__ import annotations
@@ -11,6 +16,8 @@ import itertools
 import math
 
 import numpy as np
+
+from ccsubmod.graphs import coverage_of_indices
 
 
 def adjacency_lists(graph) -> list[list[int]]:
@@ -113,3 +120,68 @@ def monte_carlo_violation(expected_sel: np.ndarray, d: float, budget: float,
         totals[start:stop] += noise.sum(axis=1)
         start = stop
     return float((totals > budget).mean())
+
+
+def sized_mutation_positions(n: int, rng: np.random.Generator) -> np.ndarray:
+    """Standard bit mutation's flip positions, each round of positions drawn
+    by one ``rng.integers(0, n, size=k)`` call.
+
+    A draw with a repeated position is redrawn whole; when k(k-1) >= n a
+    random permutation is cut to k instead.
+    """
+    k = int(rng.binomial(n, 1.0 / n))
+    if k == 0:
+        return np.empty(0, dtype=np.int64)
+    if k * (k - 1) >= n:
+        return rng.permutation(n)[:k]
+    while True:
+        pos = rng.integers(0, n, size=k)
+        if len(np.unique(pos)) == k:
+            return pos
+
+
+def sized_tournaments(rank: np.ndarray, crowd: np.ndarray, rng: np.random.Generator,
+                      count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Two rounds of binary tournaments, each contestant row drawn by its
+    own ``rng.integers(0, len(rank), size=count)`` call."""
+    winners = []
+    for _ in range(2):
+        a = rng.integers(0, len(rank), size=count)
+        b = rng.integers(0, len(rank), size=count)
+        winners.append(np.array([
+            j if rank[j] < rank[i] or (rank[j] == rank[i] and crowd[j] > crowd[i]) else i
+            for i, j in zip(a.tolist(), b.tolist())
+        ], dtype=np.int64))
+    return winners[0], winners[1]
+
+
+def bits_from_hex(hex_string: str, n: int) -> np.ndarray:
+    """0/1 vector of a selection from its big-endian packed hex string."""
+    raw = np.frombuffer(bytes.fromhex(hex_string), dtype=np.uint8)
+    return np.unpackbits(raw)[:n]
+
+
+def closed_neighborhood(graph, v: int) -> np.ndarray:
+    """Sorted node ids of v's closed neighborhood ({v} plus neighbors)."""
+    return np.sort(graph.indices[graph.indptr[v] : graph.indptr[v + 1]])
+
+
+def coverage_count(graph, selection) -> int:
+    """The library's coverage (``coverage_of_indices``) of a 0/1 vector."""
+    selection = np.asarray(selection)
+    if selection.shape != (graph.n,):
+        raise ValueError(f"selection length {selection.shape} != graph size {graph.n}")
+    return coverage_of_indices(graph, np.flatnonzero(selection))
+
+
+def sample_weight_totals(model, selection, rng: np.random.Generator, samples: int) -> np.ndarray:
+    """Monte-Carlo totals of the stochastic weight of a 0/1 selection.
+
+    Each selected element draws from the continuous uniform on
+    ``[a_i - d, a_i + d]``; returns ``samples`` independent totals.
+    """
+    idx = np.flatnonzero(np.asarray(selection))
+    if len(idx) == 0:
+        return np.zeros(samples)
+    noise = rng.uniform(-model.dispersion, model.dispersion, size=(samples, len(idx)))
+    return float(model.expected[idx].sum()) + noise.sum(axis=1)

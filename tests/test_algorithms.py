@@ -19,12 +19,20 @@ from ccsubmod import (
 from ccsubmod.algorithms import (
     Individual,
     _sliding_select,
-    bits_from_hex,
+    _tournament,
     crowding_distance,
     fast_nondominated_sort,
 )
 from conftest import GRAPHS, random_sparse_graph
-from oracles import adjacency_lists, exhaustive_optimum, layered_fronts, naive_coverage
+from oracles import (
+    adjacency_lists,
+    bits_from_hex,
+    coverage_count,
+    exhaustive_optimum,
+    layered_fronts,
+    naive_coverage,
+    sized_tournaments,
+)
 
 
 def ind(g1, g2, size=0):
@@ -140,8 +148,6 @@ class TestArchiveRuns:
         assert run(inst, cfg).evaluations == 2_000 + 1
 
     def test_best_bits_reproduce_best_value(self):
-        from ccsubmod import coverage_count
-
         inst = small_instance(seed=7)
         result = run(inst, RunConfig(algorithm="gsemo", t_max=5_000, seed=1))
         bits = bits_from_hex(result.best_bits_hex, inst.graph.n)
@@ -236,23 +242,61 @@ class TestNsga2:
         assert a.best_bits_hex == b.best_bits_hex
 
 
+class TestTournament:
+    @pytest.mark.parametrize("pool", [20, 100, 150])
+    @pytest.mark.parametrize("count", [1, 7, 10, 50])
+    def test_parents_and_state_match_sized_draws(self, pool, count):
+        # Ranks and crowding distances with ties, so both tie rules decide.
+        setup = make_rng(pool, count)
+        rank = setup.integers(0, 4, size=pool)
+        crowd = setup.choice([0.5, 1.0, np.inf], size=pool)
+        rng, reference = make_rng(count, pool), make_rng(count, pool)
+        for _ in range(50):
+            got = _tournament(rank, crowd, rng, count)
+            want = sized_tournaments(rank, crowd, reference, count)
+            assert [g.tolist() for g in got] == [w.tolist() for w in want]
+            assert rng.bit_generator.state == reference.bit_generator.state
+
+
+def _fronts(points):
+    g1 = np.array([p[0] for p in points], dtype=float)
+    g2 = np.array([p[1] for p in points], dtype=float)
+    return [front.tolist() for front in fast_nondominated_sort(g1, g2)]
+
+
 class TestFastNondominatedSort:
+    # Crowding distance breaks ties by position within a front, so each
+    # front must list its indices in ascending order, not merely hold them.
     def test_six_hand_points_match_layered_filter(self):
         # (maximize g1, minimize g2)
         points = [(5.0, 3.0), (4.0, 2.0), (3.0, 1.0), (5.0, 5.0), (2.0, 4.0), (1.0, 0.0)]
-        g1 = np.array([p[0] for p in points])
-        g2 = np.array([p[1] for p in points])
-        got = [sorted(front.tolist()) for front in fast_nondominated_sort(g1, g2)]
-        assert got == layered_fronts(points)
+        assert _fronts(points) == layered_fronts(points)
 
     def test_random_points_match_layered_filter(self):
         rng = np.random.default_rng(77)
         for _ in range(20):
             pts = [(float(a), float(b)) for a, b in rng.integers(0, 8, size=(30, 2))]
-            g1 = np.array([p[0] for p in pts])
-            g2 = np.array([p[1] for p in pts])
-            got = [sorted(front.tolist()) for front in fast_nondominated_sort(g1, g2)]
-            assert got == layered_fronts(pts)
+            assert _fronts(pts) == layered_fronts(pts)
+
+    @pytest.mark.parametrize("points", [
+        [(3.0, 2.0)],
+        [(-1.0, 4.0)] * 5,
+        [(2.0, 1.5)] * 7,
+        [],
+    ])
+    def test_degenerate_pools(self, points):
+        assert _fronts(points) == layered_fronts(points)
+
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(points=st.lists(
+        st.tuples(st.sampled_from([-1.0, 0.0, 1.0, 2.0, 3.0, 5.0]),
+                  st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.5])),
+        min_size=1, max_size=60,
+    ))
+    def test_ties_duplicates_and_sentinel_match_layered_filter(self, points):
+        # g1 = -1 is the infeasible sentinel; the small value sets force
+        # equal g1, equal g2 and duplicate pairs.
+        assert _fronts(points) == layered_fronts(points)
 
     def test_crowding_boundaries_infinite(self):
         g1 = np.array([1.0, 2.0, 3.0, 4.0])

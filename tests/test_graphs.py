@@ -3,10 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccsubmod import GraphFormatError, coverage_count, load_graph, save_edge_list
+from ccsubmod import GraphFormatError, load_graph, save_edge_list
 from ccsubmod.graphs import coverage_of_indices, update_coverage
 from conftest import GRAPHS, random_sparse_graph
-from oracles import adjacency_lists, naive_coverage
+from oracles import adjacency_lists, closed_neighborhood, coverage_count, naive_coverage
 
 
 def write(tmp_path, name, text):
@@ -20,8 +20,8 @@ class TestLoadGraph:
         p = write(tmp_path, "g.txt", "1 2\n2 3\n")
         g = load_graph(p)
         assert g.n == 3
-        assert list(g.closed_neighborhood(0)) == [0, 1]
-        assert list(g.closed_neighborhood(1)) == [0, 1, 2]
+        assert list(closed_neighborhood(g, 0)) == [0, 1]
+        assert list(closed_neighborhood(g, 1)) == [0, 1, 2]
 
     def test_zero_indexed_autodetected(self, tmp_path):
         p = write(tmp_path, "g.txt", "0 1\n1 2\n")
@@ -33,7 +33,7 @@ class TestLoadGraph:
         p = write(tmp_path, "g.txt", "1 1\n")
         g = load_graph(p)
         assert g.n == 1
-        assert list(g.closed_neighborhood(0)) == [0]
+        assert list(closed_neighborhood(g, 0)) == [0]
         assert g.degrees[0] == 0
 
     def test_duplicate_edges_merged(self, tmp_path):
@@ -99,7 +99,7 @@ class TestClosedNeighborhood:
     def test_contains_self_and_has_degree_plus_one(self):
         g = random_sparse_graph(40, 80, seed=1)
         for v in range(g.n):
-            cn = g.closed_neighborhood(v)
+            cn = closed_neighborhood(g, v)
             assert v in cn
             assert len(cn) == g.degrees[v] + 1
 

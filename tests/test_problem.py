@@ -7,10 +7,10 @@ from ccsubmod import (
     default_budgets,
     make_degree_weights,
     make_iid_weights,
-    sample_weight_totals,
 )
 from ccsubmod.problem import WeightKind
 from conftest import random_sparse_graph
+from oracles import sample_weight_totals
 
 
 class TestIidWeights:
