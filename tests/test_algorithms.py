@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ccsubmod import (
@@ -278,24 +278,19 @@ class TestFastNondominatedSort:
             pts = [(float(a), float(b)) for a, b in rng.integers(0, 8, size=(30, 2))]
             assert _fronts(pts) == layered_fronts(pts)
 
-    @pytest.mark.parametrize("points", [
-        [(3.0, 2.0)],
-        [(-1.0, 4.0)] * 5,
-        [(2.0, 1.5)] * 7,
-        [],
-    ])
-    def test_degenerate_pools(self, points):
-        assert _fronts(points) == layered_fronts(points)
-
     @settings(max_examples=300, deadline=None, derandomize=True)
     @given(points=st.lists(
         st.tuples(st.sampled_from([-1.0, 0.0, 1.0, 2.0, 3.0, 5.0]),
                   st.sampled_from([0.0, 0.5, 1.0, 1.5, 2.0, 3.5])),
-        min_size=1, max_size=60,
+        max_size=60,
     ))
+    @example(points=[(3.0, 2.0)])
+    @example(points=[(-1.0, 4.0)] * 5)
+    @example(points=[(2.0, 1.5)] * 7)
     def test_ties_duplicates_and_sentinel_match_layered_filter(self, points):
         # g1 = -1 is the infeasible sentinel; the small value sets force
-        # equal g1, equal g2 and duplicate pairs.
+        # equal g1, equal g2 and duplicate pairs, and the examples pin a
+        # single point and all-equal pools.
         assert _fronts(points) == layered_fronts(points)
 
     def test_crowding_boundaries_infinite(self):

@@ -41,7 +41,8 @@ class TestStandardBitMutation:
                 assert size == len(nodes)
                 assert isinstance(expected, float) and expected == means[nodes].sum()
                 parent = Individual(bits=child, size=size, expected=expected, g1=0.0, g2=0.0)
-            assert permuted > 0 or n > 6
+            if n == 6:
+                assert permuted > 0
 
     def test_mean_hamming_distance_is_one(self):
         # 1e5 mutations at n = 100; expected flips per offspring = 1
