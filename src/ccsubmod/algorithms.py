@@ -626,7 +626,9 @@ def _run_nsga2(instance: Instance, cfg: RunConfig) -> RunResult:
         population = [pool[j] for j in chosen.tolist()]
         pop_g1, pop_g2 = pool_g1[chosen], pool_g2[chosen]
 
-    front0 = fast_nondominated_sort(pop_g1, pop_g2)[0]
+    # The survivors' rank 0 is their own first front: each survivor of a
+    # later rank is dominated by a rank-0 survivor.
+    front0 = np.flatnonzero(rank == 0)
     best_bits = np.zeros(n, dtype=np.uint8)
     best_bits[best] = 1
 

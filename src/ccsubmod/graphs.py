@@ -140,29 +140,18 @@ def _parse_pairs(path: Path) -> tuple[list[tuple[int, int]], int | None, bool]:
     return pairs, declared, is_mm
 
 
-def load_graph(path: str | Path, format: str = "auto") -> Graph:
+def load_graph(path: str | Path) -> Graph:
     """Load an undirected graph from an edge-list or Matrix-Market file.
 
-    ``format`` is one of ``"matrix-market"``, ``"edge-list"``, ``"auto"``.
-    Matrix-Market ids are 1-based; plain lists are sniffed (an id 0 anywhere
-    means 0-based). Comment lines start with '%' or '#'. Self loops are
-    dropped, duplicate edges are merged, and the node count is
-    ``max(declared header size, largest id + 1)`` so that isolated trailing
-    nodes declared by the header survive.
+    Ids are 1-based when the file has a Matrix-Market banner or a ``.mtx``
+    suffix; otherwise they are 1-based unless some id is 0. Comment lines
+    start with '%' or '#'. Self loops are dropped, duplicate edges are
+    merged, and the node count is ``max(declared header size, largest id +
+    1)`` so that isolated trailing nodes declared by the header survive.
     """
     path = Path(path)
-    if format not in ("auto", "matrix-market", "edge-list"):
-        raise ValueError(f"unknown graph format {format!r}")
     pairs, declared, saw_banner = _parse_pairs(path)
-    if format == "matrix-market":
-        one_based = True
-    elif format == "edge-list":
-        one_based = not any(u == 0 or v == 0 for u, v in pairs)
-    else:
-        if saw_banner or path.suffix.lower() == ".mtx":
-            one_based = True
-        else:
-            one_based = not any(u == 0 or v == 0 for u, v in pairs)
+    one_based = saw_banner or path.suffix.lower() == ".mtx" or not any(0 in pair for pair in pairs)
 
     if pairs:
         edges = np.asarray(pairs, dtype=np.int64)

@@ -24,6 +24,7 @@ import csv
 import json
 import os
 import sys
+from collections import deque
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
@@ -50,6 +51,7 @@ __all__ = [
 ]
 
 DEFAULT_REPETITIONS = 30
+IN_FLIGHT_PER_WORKER = 4
 
 
 @dataclass(frozen=True)
@@ -286,7 +288,6 @@ def run_experiment(
     workers: int | None = None,
     resume: bool = False,
     out_dir: str | Path | None = None,
-    progress: bool = False,
 ) -> ResultSet:
     """Execute every (cell, repetition) of the grid and aggregate results.
 
@@ -294,7 +295,8 @@ def run_experiment(
     config echo equals that of the run it stands for (seed, regime, ``a``,
     ``d``, ``n``, population and children included); any other stored file
     is recomputed and overwritten, with a line on stderr. Failures are
-    collected per run and never abort the rest of the grid.
+    collected per run and never abort the rest of the grid. Each executed
+    run writes one progress line to stderr.
     """
     cfg.validate()
     out = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
@@ -344,8 +346,7 @@ def run_experiment(
             records[(cell.index, rep)] = record
             _write_json(runs_dir / f"{cell.cell_id()}__rep{rep}.json", record)
             result_set.executed_runs += 1
-            if progress:
-                print(f"[{result_set.executed_runs}/{len(pending)}] {record['cell_id']} rep {rep}", file=sys.stderr)
+            print(f"[{result_set.executed_runs}/{len(pending)}] {record['cell_id']} rep {rep}", file=sys.stderr)
 
     for cell in cells:
         best = [records[(cell.index, r)]["best_g1"] for r in range(cfg.repetitions) if (cell.index, r) in records]
@@ -461,7 +462,9 @@ def _run_tasks(
     """Run each ``(instance index, config)`` task; yield outcomes in task order.
 
     A task carries only its index and config, because every worker receives
-    the instance list once. One worker or one task runs in this process. A
+    the instance list once. One worker or one task runs in this process.
+    At most ``IN_FLIGHT_PER_WORKER`` tasks per worker are submitted ahead of
+    the outcome being yielded, so finished results do not pile up here. A
     worker that dies breaks the pool; the first task whose result had not
     come back and every later one then yield the ``BrokenProcessPool``
     error as their outcome.
@@ -471,10 +474,16 @@ def _run_tasks(
         with ProcessPoolExecutor(
             max_workers=nworkers, initializer=_init_worker, initargs=(instances,)
         ) as pool:
+            in_flight = deque()
             done = 0
             try:
-                for outcome in pool.map(_worker_task, tasks):
-                    yield outcome
+                for task in tasks:
+                    if len(in_flight) == IN_FLIGHT_PER_WORKER * nworkers:
+                        yield in_flight.popleft().result()
+                        done += 1
+                    in_flight.append(pool.submit(_worker_task, task))
+                while in_flight:
+                    yield in_flight.popleft().result()
                     done += 1
             except BrokenProcessPool as exc:
                 yield from [_error_text(exc)] * (len(tasks) - done)

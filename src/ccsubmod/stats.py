@@ -16,6 +16,10 @@ import numpy as np
 
 __all__ = ["kruskal_wallis", "posthoc_marks", "rankdata", "chi2_sf"]
 
+# Significance level of the benchmark tables' Kruskal-Wallis gate, and the
+# family-wise level its Bonferroni-corrected pairwise tests share.
+FAMILY_ALPHA = 0.05
+
 
 def _regularized_gamma_p(a: float, x: float) -> float:
     """Lower regularized incomplete gamma P(a, x) by series expansion."""
@@ -123,22 +127,20 @@ def kruskal_wallis(samples: Sequence[Sequence[float]]) -> tuple[float, float]:
     return float(h), chi2_sf(h, len(groups) - 1)
 
 
-def posthoc_marks(
-    samples: Sequence[Sequence[float]], family_alpha: float = 0.05
-) -> list[list[str]]:
+def posthoc_marks(samples: Sequence[Sequence[float]]) -> list[list[str]]:
     """Pairwise better/worse/equal marks from Dunn's rank z-tests.
 
     ``marks[i][j]`` is '+' when group i is statistically better (higher
     values) than group j, '-' for worse, '=' otherwise. The omnibus
     Kruskal-Wallis test gates everything: without rejection at
-    ``family_alpha`` all marks are '='. Pairwise significance uses the
-    Bonferroni threshold ``family_alpha / n_pairs``; direction follows the
+    ``FAMILY_ALPHA`` all marks are '='. Pairwise significance uses the
+    Bonferroni threshold ``FAMILY_ALPHA / n_pairs``; direction follows the
     mean-rank order, so the matrix is antisymmetric by construction.
     """
     k = len(samples)
     marks = [["=" for _ in range(k)] for _ in range(k)]
     _, p_omnibus = kruskal_wallis(samples)
-    if p_omnibus > family_alpha:
+    if p_omnibus > FAMILY_ALPHA:
         return marks
 
     groups = [np.asarray(g, dtype=float) for g in samples]
@@ -153,7 +155,7 @@ def posthoc_marks(
     # Dunn's variance with tie correction.
     base_var = total * (total + 1) / 12.0 - _tie_term(pooled) / (12.0 * (total - 1))
     n_pairs = k * (k - 1) // 2
-    threshold = family_alpha / n_pairs
+    threshold = FAMILY_ALPHA / n_pairs
     for i in range(k):
         for j in range(i + 1, k):
             se = math.sqrt(base_var * (1.0 / len(groups[i]) + 1.0 / len(groups[j])))

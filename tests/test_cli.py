@@ -73,6 +73,21 @@ class TestRun:
         )
         assert code == 2
 
+    # A repeated flag overrides the earlier one in RUN_FLAGS.
+    @pytest.mark.parametrize("flag", ["--weights", "--surrogate", "--regime"])
+    def test_unknown_name_is_config_error(self, graph_file, flag):
+        code, out, err = cli("run", "--graph", str(graph_file), *RUN_FLAGS, flag, "bogus-name")
+        assert code == 2
+        assert out == ""
+        assert "'bogus-name'" in err
+
+    def test_unknown_algorithm_fails_before_the_graph_is_read(self, tmp_path):
+        code, out, err = cli("run", "--graph", str(tmp_path / "none.txt"), *RUN_FLAGS, "--algo", "bogus-name")
+        assert code == 2
+        assert out == ""
+        assert "unknown algorithm 'bogus-name'" in err
+        assert "none.txt" not in err
+
     def test_unknown_flag_rejected(self, graph_file):
         code, _, _ = cli("run", "--graph", str(graph_file), "--bogus", "1")
         assert code == 2
@@ -156,6 +171,20 @@ class TestExperiment:
         assert (tmp_path / "out" / "table.csv").exists()
         results = json.loads((tmp_path / "out" / "results.json").read_text())
         assert len(results["cells"]) == 2
+
+    def test_progress_line_per_executed_run(self, graph_file, tmp_path):
+        cfg = self.write_config(graph_file, tmp_path, "out10")
+        code, out, err = cli("experiment", "--config", str(cfg), "--workers", "2")
+        assert code == 0
+        assert out == ""
+        progress = [line.split("] ") for line in err.splitlines() if line.startswith("[")]
+        assert [count for count, _ in progress] == ["[1/4", "[2/4", "[3/4", "[4/4"]
+        runs = (tmp_path / "out10" / "runs").glob("*.json")
+        assert {run for _, run in progress} == {p.stem.replace("__rep", " rep ") for p in runs}
+        code, out, err = cli("experiment", "--config", str(cfg), "--workers", "2", "--resume")
+        assert code == 0
+        assert out == ""
+        assert not [line for line in err.splitlines() if line.startswith("[")]
 
     def test_empty_grid_is_config_error(self, tmp_path):
         p = tmp_path / "empty.json"

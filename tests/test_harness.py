@@ -1,5 +1,6 @@
 import csv
 import json
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -18,6 +19,7 @@ from ccsubmod import (
     run_experiment,
     run_repetitions,
 )
+from ccsubmod import harness
 from ccsubmod.harness import AlgorithmSpec, ExperimentConfig, InstanceSpec, expand_cells
 from conftest import random_sparse_graph
 
@@ -376,3 +378,31 @@ class TestRunRepetitions:
 
         assert outcome(pooled) == outcome(serial)
         assert [r.config["seed"] for r in serial] == [[5, 2, 0], [5, 2, 1], [5, 2, 2]]
+
+    def test_pool_keeps_a_bounded_window_in_flight(self, monkeypatch):
+        graph = random_sparse_graph(20, 40, seed=32)
+        inst = Instance(graph=graph, weights=make_iid_weights(20, 1, 0.5),
+                        budget=5.0, alpha=0.1, surrogate=SurrogateKind.CHEBYSHEV)
+        tasks = [(0, RunConfig(algorithm="gsemo", t_max=50, seed=(5, 0, rep))) for rep in range(30)]
+        submitted = []
+
+        class CountingPool(ProcessPoolExecutor):
+            def submit(self, *args, **kwargs):
+                submitted.append(args)
+                return super().submit(*args, **kwargs)
+
+        monkeypatch.setattr(harness, "ProcessPoolExecutor", CountingPool)
+        workers = 2
+        pooled, in_flight = [], []
+        for outcome in harness._run_tasks([inst], tasks, workers):
+            # Submitted and not yet yielded, the outcome at hand included.
+            in_flight.append(len(submitted) - len(pooled))
+            pooled.append(outcome)
+        serial = list(harness._run_tasks([inst], tasks, 1))
+
+        def outcome(results):
+            return [(r.best_g1, r.best_bits_hex, r.config["seed"]) for r in results]
+
+        assert len(submitted) == len(tasks)
+        assert max(in_flight) == harness.IN_FLIGHT_PER_WORKER * workers
+        assert outcome(pooled) == outcome(serial)
