@@ -107,10 +107,11 @@ class Graph:
 
 
 def _parse_pairs(path: Path) -> tuple[list[tuple[int, int]], int | None, bool]:
-    """Read integer pair lines; returns (pairs, declared size or None, is_mm)."""
+    """Read integer pair lines; returns (pairs, declared size or None, is_mm),
+    where is_mm means a Matrix-Market banner or a ``.mtx`` suffix."""
     pairs: list[tuple[int, int]] = []
     declared: int | None = None
-    is_mm = False
+    is_mm = path.suffix.lower() == ".mtx"
     first_data = True
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -126,9 +127,10 @@ def _parse_pairs(path: Path) -> tuple[list[tuple[int, int]], int | None, bool]:
                 values = [int(t) for t in tokens]
             except ValueError as exc:
                 raise GraphFormatError(f"{path}:{lineno}: non-integer token in {line!r}") from exc
-            if first_data and len(values) == 3:
-                # Matrix-Market size header "rows cols nnz"; also accepted on
-                # plain lists whose first data line declares the node count.
+            if first_data and len(values) == 3 and (is_mm or values[0] == values[1]):
+                # Matrix-Market size header "rows cols nnz". In other files
+                # only the "n n m" line save_edge_list writes is a header;
+                # any other three-integer line is a weighted edge.
                 declared = max(values[0], values[1])
                 first_data = False
                 continue
@@ -145,13 +147,16 @@ def load_graph(path: str | Path) -> Graph:
 
     Ids are 1-based when the file has a Matrix-Market banner or a ``.mtx``
     suffix; otherwise they are 1-based unless some id is 0. Comment lines
-    start with '%' or '#'. Self loops are dropped, duplicate edges are
-    merged, and the node count is ``max(declared header size, largest id +
-    1)`` so that isolated trailing nodes declared by the header survive.
+    start with '%' or '#'. A three-integer first data line is a size
+    header in Matrix-Market files; elsewhere it is one only in the ``n n m``
+    form :func:`save_edge_list` writes, and otherwise an edge whose third
+    column is ignored. Self loops are dropped, duplicate edges are merged,
+    and the node count is ``max(declared header size, largest id + 1)`` so
+    that isolated trailing nodes declared by the header survive.
     """
     path = Path(path)
-    pairs, declared, saw_banner = _parse_pairs(path)
-    one_based = saw_banner or path.suffix.lower() == ".mtx" or not any(0 in pair for pair in pairs)
+    pairs, declared, is_mm = _parse_pairs(path)
+    one_based = is_mm or not any(0 in pair for pair in pairs)
 
     if pairs:
         edges = np.asarray(pairs, dtype=np.int64)

@@ -295,8 +295,9 @@ def run_experiment(
     config echo equals that of the run it stands for (seed, regime, ``a``,
     ``d``, ``n``, population and children included); any other stored file
     is recomputed and overwritten, with a line on stderr. Failures are
-    collected per run and never abort the rest of the grid. Each executed
-    run writes one progress line to stderr.
+    collected per run and never abort the rest of the grid. Each run not
+    taken from a stored file writes one progress line ``[i/N]`` to stderr,
+    ending in ``failed`` when the run records an error.
     """
     cfg.validate()
     out = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
@@ -335,10 +336,12 @@ def run_experiment(
             pending += [(cell, rep, None) for rep in reps]
 
     with closing(_run_tasks(instances, tasks, workers)) as outcomes:
-        for cell, rep, error in pending:
+        for done, (cell, rep, error) in enumerate(pending, start=1):
             outcome = error if error is not None else next(outcomes)
+            progress = f"[{done}/{len(pending)}] {cell.cell_id()} rep {rep}"
             if isinstance(outcome, str):
                 result_set.errors.append({"cell_id": cell.cell_id(), "repetition": rep, "error": outcome})
+                print(f"{progress} failed", file=sys.stderr)
                 continue
             record = outcome.to_json_dict()
             record["cell_id"] = cell.cell_id()
@@ -346,10 +349,11 @@ def run_experiment(
             records[(cell.index, rep)] = record
             _write_json(runs_dir / f"{cell.cell_id()}__rep{rep}.json", record)
             result_set.executed_runs += 1
-            print(f"[{result_set.executed_runs}/{len(pending)}] {record['cell_id']} rep {rep}", file=sys.stderr)
+            print(progress, file=sys.stderr)
 
     for cell in cells:
-        best = [records[(cell.index, r)]["best_g1"] for r in range(cfg.repetitions) if (cell.index, r) in records]
+        stored = [records[(cell.index, r)] for r in range(cfg.repetitions) if (cell.index, r) in records]
+        best = [record["best_g1"] for record in stored]
         entry = {
             "cell_id": cell.cell_id(),
             "instance": cell.instance_name,
@@ -364,16 +368,8 @@ def run_experiment(
             "best_g1": best,
             "mean": float(np.mean(best)) if best else None,
             "std": float(np.std(best)) if best else None,
-            "archive_sizes": [
-                records[(cell.index, r)]["archive_size"]
-                for r in range(cfg.repetitions)
-                if (cell.index, r) in records
-            ],
-            "peak_archive_sizes": [
-                records[(cell.index, r)]["peak_archive_size"]
-                for r in range(cfg.repetitions)
-                if (cell.index, r) in records
-            ],
+            "archive_sizes": [record["archive_size"] for record in stored],
+            "peak_archive_sizes": [record["peak_archive_size"] for record in stored],
         }
         result_set.cells.append(entry)
 
@@ -553,20 +549,17 @@ def emit_table(results: ResultSet, out_dir: str | Path) -> tuple[Path, Path]:
     table_rows: list[list[str]] = []
     for key in row_order:
         by_algo = rows[key]
-        missing = [i for i in range(k) if i not in by_algo or not by_algo[i]["best_g1"]]
-        if missing:
-            print(
-                f"warning: row {key} missing algorithms {[labels[i] for i in missing]}",
-                file=sys.stderr,
-            )
         groups = [by_algo[i]["best_g1"] if i in by_algo else [] for i in range(k)]
-        if all(groups) and k >= 2:
+        missing = [labels[i] for i in range(k) if not groups[i]]
+        if missing:
+            print(f"warning: row {key} missing algorithms {missing}", file=sys.stderr)
+        if not missing and k >= 2:
             marks = posthoc_marks(groups)
         else:
             marks = [["" for _ in range(k)] for _ in range(k)]
         row = [str(key[0]), str(key[1]), str(key[2]), _fmt(key[3]), str(key[4]), f"{key[5]:g}"]
         for i in range(k):
-            if i in by_algo and by_algo[i]["best_g1"]:
+            if groups[i]:
                 stat = ",".join(f"{j + 1}({marks[i][j]})" for j in range(k) if j != i and marks[i][j])
                 row += [_fmt(by_algo[i]["mean"]), _fmt(by_algo[i]["std"]), stat]
             else:

@@ -1,8 +1,9 @@
 """Rank-based k-sample testing used by the benchmark tables.
 
 Implements the Kruskal-Wallis omnibus test (tie-corrected H, chi-square
-p-value) and Dunn's pairwise rank z-tests with Bonferroni correction, plus
-the small special-function kernel they need. Kept dependency-free so the
+p-value) and Dunn's pairwise rank z-tests with Bonferroni correction. The
+pooled sample is ranked once per test, and the chi-square tail is the exact
+finite sum for integer degrees of freedom. Kept dependency-free so the
 harness does not pull in a statistics stack; the implementations are
 validated against reference values in the test suite.
 """
@@ -21,56 +22,25 @@ __all__ = ["kruskal_wallis", "posthoc_marks", "rankdata", "chi2_sf"]
 FAMILY_ALPHA = 0.05
 
 
-def _regularized_gamma_p(a: float, x: float) -> float:
-    """Lower regularized incomplete gamma P(a, x) by series expansion."""
-    term = 1.0 / a
-    total = term
-    k = a
-    for _ in range(500):
-        k += 1.0
-        term *= x / k
-        total += term
-        if abs(term) < abs(total) * 1e-16:
-            break
-    return total * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
-def _regularized_gamma_q(a: float, x: float) -> float:
-    """Upper regularized incomplete gamma Q(a, x) by Lentz continued fraction."""
-    tiny = 1e-300
-    b = x + 1.0 - a
-    c = 1.0 / tiny
-    d = 1.0 / b
-    h = d
-    for i in range(1, 500):
-        an = -i * (i - a)
-        b += 2.0
-        d = an * d + b
-        if abs(d) < tiny:
-            d = tiny
-        c = b + an / c
-        if abs(c) < tiny:
-            c = tiny
-        d = 1.0 / d
-        delta = d * c
-        h *= delta
-        if abs(delta - 1.0) < 1e-16:
-            break
-    return h * math.exp(-x + a * math.log(x) - math.lgamma(a))
-
-
 def chi2_sf(x: float, df: int) -> float:
-    """Chi-square survival function Pr[X > x] with df degrees of freedom."""
-    if df < 1:
-        raise ValueError("df must be positive")
+    """Chi-square survival function Pr[X > x] for a positive integer df.
+
+    Exact finite sum (Abramowitz & Stegun 26.4.4-26.4.5): start from the
+    df = 1 or df = 2 tail, then each step of two in df adds one term,
+    Q(a + 1, x/2) = Q(a, x/2) + (x/2)^a e^(-x/2) / Gamma(a + 1).
+    """
+    if df < 1 or df != int(df):
+        raise ValueError("df must be a positive integer")
     if x <= 0:
         return 1.0
-    a = df / 2.0
     half = x / 2.0
-    # Series converges fast left of the mean, continued fraction right of it.
-    if half < a + 1.0:
-        return 1.0 - _regularized_gamma_p(a, half)
-    return _regularized_gamma_q(a, half)
+    odd = df % 2 == 1
+    total = math.erfc(math.sqrt(half)) if odd else math.exp(-half)
+    a = 0.5 if odd else 1.0
+    while a < df / 2:
+        total += math.exp(a * math.log(half) - half - math.lgamma(a + 1.0))
+        a += 1.0
+    return total
 
 
 def normal_sf(z: float) -> float:
@@ -78,25 +48,41 @@ def normal_sf(z: float) -> float:
     return 0.5 * math.erfc(z / math.sqrt(2.0))
 
 
+def _ranks(pooled: np.ndarray) -> tuple[np.ndarray, float]:
+    """Average ranks 1..N of ``pooled`` and its tie term, the sum of t^3 - t
+    over groups of t tied values."""
+    _, inverse, counts = np.unique(pooled, return_inverse=True, return_counts=True)
+    # A value seen t times ends at rank `end` and holds ranks end-t+1..end.
+    ends = np.cumsum(counts)
+    ties = counts[counts > 1].astype(float)
+    return (ends - 0.5 * (counts - 1))[inverse], float((ties**3 - ties).sum())
+
+
 def rankdata(values: np.ndarray) -> np.ndarray:
     """Ranks 1..N with ties assigned their average rank."""
-    values = np.asarray(values, dtype=float)
-    order = np.argsort(values, kind="mergesort")
-    ranks = np.empty(len(values))
-    sorted_vals = values[order]
-    boundaries = np.flatnonzero(np.diff(sorted_vals) != 0) + 1
-    starts = np.concatenate([[0], boundaries])
-    ends = np.concatenate([boundaries, [len(values)]])
-    for s, e in zip(starts, ends):
-        ranks[order[s:e]] = 0.5 * (s + e + 1)
-    return ranks
+    return _ranks(np.asarray(values, dtype=float))[0]
 
 
-def _tie_term(pooled: np.ndarray) -> float:
-    """Sum of t^3 - t over groups of tied values."""
-    _, counts = np.unique(pooled, return_counts=True)
-    counts = counts[counts > 1].astype(float)
-    return float((counts**3 - counts).sum())
+def _kruskal_wallis(samples: Sequence[Sequence[float]]) -> tuple[float, float, list[int], np.ndarray, float]:
+    """(H, p) with the group sizes, mean ranks and tie term they came from."""
+    groups = [np.asarray(g, dtype=float) for g in samples]
+    if len(groups) < 2:
+        raise ValueError("need at least two groups")
+    if any(len(g) == 0 for g in groups):
+        raise ValueError("groups must be non-empty")
+    sizes = [len(g) for g in groups]
+    total = sum(sizes)
+    ranks, tie = _ranks(np.concatenate(groups))
+    rank_sums = np.add.reduceat(ranks, np.cumsum([0] + sizes[:-1]))
+    mean_ranks = rank_sums / sizes
+    correction = 1.0 - tie / (total**3 - total)
+    if correction == 0.0:  # every observation is the same value
+        return 0.0, 1.0, sizes, mean_ranks, tie
+    h = 0.0
+    for s, n in zip(rank_sums, sizes):
+        h += s**2 / n
+    h = float((12.0 / (total * (total + 1)) * h - 3.0 * (total + 1)) / correction)
+    return h, chi2_sf(h, len(groups) - 1), sizes, mean_ranks, tie
 
 
 def kruskal_wallis(samples: Sequence[Sequence[float]]) -> tuple[float, float]:
@@ -105,26 +91,8 @@ def kruskal_wallis(samples: Sequence[Sequence[float]]) -> tuple[float, float]:
     When every observation across all groups is identical the test is
     undefined; (H, p) = (0, 1) by convention.
     """
-    groups = [np.asarray(g, dtype=float) for g in samples]
-    if len(groups) < 2:
-        raise ValueError("need at least two groups")
-    if any(len(g) == 0 for g in groups):
-        raise ValueError("groups must be non-empty")
-    pooled = np.concatenate(groups)
-    total = len(pooled)
-    if np.all(pooled == pooled[0]):
-        return 0.0, 1.0
-    ranks = rankdata(pooled)
-    h = 0.0
-    offset = 0
-    for g in groups:
-        r = ranks[offset : offset + len(g)]
-        h += r.sum() ** 2 / len(g)
-        offset += len(g)
-    h = 12.0 / (total * (total + 1)) * h - 3.0 * (total + 1)
-    correction = 1.0 - _tie_term(pooled) / (total**3 - total)
-    h /= correction
-    return float(h), chi2_sf(h, len(groups) - 1)
+    h, p, *_ = _kruskal_wallis(samples)
+    return h, p
 
 
 def posthoc_marks(samples: Sequence[Sequence[float]]) -> list[list[str]]:
@@ -139,26 +107,18 @@ def posthoc_marks(samples: Sequence[Sequence[float]]) -> list[list[str]]:
     """
     k = len(samples)
     marks = [["=" for _ in range(k)] for _ in range(k)]
-    _, p_omnibus = kruskal_wallis(samples)
+    _, p_omnibus, sizes, mean_ranks, tie = _kruskal_wallis(samples)
     if p_omnibus > FAMILY_ALPHA:
         return marks
 
-    groups = [np.asarray(g, dtype=float) for g in samples]
-    pooled = np.concatenate(groups)
-    total = len(pooled)
-    ranks = rankdata(pooled)
-    mean_ranks = []
-    offset = 0
-    for g in groups:
-        mean_ranks.append(ranks[offset : offset + len(g)].mean())
-        offset += len(g)
+    total = sum(sizes)
     # Dunn's variance with tie correction.
-    base_var = total * (total + 1) / 12.0 - _tie_term(pooled) / (12.0 * (total - 1))
+    base_var = total * (total + 1) / 12.0 - tie / (12.0 * (total - 1))
     n_pairs = k * (k - 1) // 2
     threshold = FAMILY_ALPHA / n_pairs
     for i in range(k):
         for j in range(i + 1, k):
-            se = math.sqrt(base_var * (1.0 / len(groups[i]) + 1.0 / len(groups[j])))
+            se = math.sqrt(base_var * (1.0 / sizes[i] + 1.0 / sizes[j]))
             if se == 0.0:
                 continue
             z = (mean_ranks[i] - mean_ranks[j]) / se

@@ -4,7 +4,8 @@ The references are deliberately naive (explicit set unions, quadratic
 scans, full enumeration) and share no code with the optimized library
 paths they are used to check. Two of them pin the random stream: the
 sized draws the optimizers once made, which their cheaper draws must
-reproduce value for value and state for state.
+reproduce value for value and state for state. The Dunn marks are built
+on ``scipy.stats`` instead, and skip their test when scipy is missing.
 
 The helpers at the end turn selections between the forms tests use and
 the library's; only tests need them.
@@ -14,8 +15,10 @@ from __future__ import annotations
 
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
+import pytest
 
 from ccsubmod.graphs import coverage_of_indices
 
@@ -153,6 +156,34 @@ def sized_tournaments(rank: np.ndarray, crowd: np.ndarray, rng: np.random.Genera
             for i, j in zip(a.tolist(), b.tolist())
         ], dtype=np.int64))
     return winners[0], winners[1]
+
+
+def dunn_marks(samples) -> list[list[str]]:
+    """Kruskal-Wallis gated, Bonferroni-corrected Dunn marks from scipy's
+    rank statistics at family-wise level 0.05; skips the calling test when
+    scipy is missing.
+
+    ``marks[i][j]`` is '+' when group i has the significantly higher mean
+    rank, '-' when group j has, '=' otherwise.
+    """
+    stats = pytest.importorskip("scipy.stats")
+    k = len(samples)
+    marks = [["="] * k for _ in range(k)]
+    pooled = np.concatenate(samples)
+    if len(set(pooled.tolist())) == 1 or stats.kruskal(*samples).pvalue > 0.05:
+        return marks
+    ranks = stats.rankdata(pooled)
+    total = len(pooled)
+    tie = sum(t**3 - t for t in Counter(pooled.tolist()).values())
+    variance = total * (total + 1) / 12.0 - tie / (12.0 * (total - 1))
+    starts = np.cumsum([0] + [len(s) for s in samples])
+    mean_ranks = [ranks[starts[i] : starts[i + 1]].mean() for i in range(k)]
+    for i, j in itertools.combinations(range(k), 2):
+        se = math.sqrt(variance * (1.0 / len(samples[i]) + 1.0 / len(samples[j])))
+        z = (mean_ranks[i] - mean_ranks[j]) / se
+        if z != 0.0 and 2.0 * stats.norm.sf(abs(z)) <= 0.05 / (k * (k - 1) / 2):
+            marks[i][j], marks[j][i] = ("+", "-") if z > 0 else ("-", "+")
+    return marks
 
 
 def bits_from_hex(hex_string: str, n: int) -> np.ndarray:

@@ -221,6 +221,10 @@ class TestExperiment:
         results = json.loads((tmp_path / "out5" / "results.json").read_text())
         assert [len(c["best_g1"]) for c in results["cells"]] == [2, 2, 0]
         assert [e["repetition"] for e in results["errors"]] == [0, 1]
+        progress = [line.split("] ", 1) for line in err.splitlines() if line.startswith("[")]
+        assert [count for count, _ in progress] == [f"[{i}/6" for i in range(1, 7)]
+        failed = [run for _, run in progress if run.endswith(" failed")]
+        assert failed == [f"{results['errors'][0]['cell_id']} rep {rep} failed" for rep in (0, 1)]
 
     def test_unknown_config_key_is_config_error(self, graph_file, tmp_path):
         doc = json.loads(self.write_config(graph_file, tmp_path, "out7").read_text())

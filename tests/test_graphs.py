@@ -60,6 +60,19 @@ class TestLoadGraph:
         assert g.n == 4
         assert g.degrees[3] == 0
 
+    def test_weighted_first_line_is_an_edge(self, tmp_path):
+        # Only an "n n m" first line is a size header outside Matrix-Market
+        # files; "1 2 7" is the weighted edge 1-2.
+        g = load_graph(write(tmp_path, "g.txt", "1 2 7\n2 3 1\n3 4 2\n"))
+        assert g.n == 4
+        assert len(g.edge_array()) == 3
+        assert list(closed_neighborhood(g, 0)) == [0, 1]
+
+    def test_weighted_first_line_is_a_header_in_mtx(self, tmp_path):
+        g = load_graph(write(tmp_path, "g.mtx", "5 4 2\n1 2 7\n2 3 1\n"))
+        assert g.n == 5
+        assert len(g.edge_array()) == 2
+
     def test_id_beyond_declared_size_grows_graph(self, tmp_path):
         p = write(tmp_path, "g.mtx", "%%MatrixMarket matrix coordinate pattern symmetric\n3 3 2\n1 2\n5 6\n")
         assert load_graph(p).n == 6

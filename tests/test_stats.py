@@ -7,6 +7,7 @@ import pytest
 
 from ccsubmod import kruskal_wallis, posthoc_marks
 from ccsubmod.stats import chi2_sf, rankdata
+from oracles import dunn_marks
 
 FIXTURES = Path(__file__).parent / "data" / "kruskal_wallis_reference.json"
 
@@ -22,10 +23,13 @@ class TestKruskalWallis:
             assert abs(p - fixture["p"]) <= 1e-9
 
     def test_matches_scipy_live(self):
+        # k = 2..5 groups give both parities of the chi-square df = k - 1.
         scipy_stats = pytest.importorskip("scipy.stats")
         rng = np.random.default_rng(3)
-        for _ in range(50):
-            groups = [rng.integers(0, 6, size=rng.integers(4, 12)).astype(float) for _ in range(3)]
+        for trial in range(200):
+            k = 2 + trial % 4
+            sizes = [30] * k if trial % 5 == 0 else rng.integers(4, 31, size=k)
+            groups = [rng.integers(0, 6, size=size).astype(float) for size in sizes]
             if np.all(np.concatenate(groups) == groups[0][0]):
                 continue
             h, p = kruskal_wallis(groups)
@@ -70,9 +74,15 @@ class TestKruskalWallis:
 class TestChi2:
     def test_against_scipy(self):
         scipy_stats = pytest.importorskip("scipy.stats")
-        for df in (1, 2, 3, 5, 9):
-            for x in (0.01, 0.5, 1.0, 2.3, 7.7, 15.0, 40.0):
-                assert chi2_sf(x, df) == pytest.approx(scipy_stats.chi2.sf(x, df), abs=1e-12)
+        for df in range(1, 13):
+            for x in (0.01, 0.5, 1.0, 2.3, 7.7, 15.0, 40.0, 80.0, 120.0, 160.0, 200.0):
+                want = scipy_stats.chi2.sf(x, df)
+                assert abs(chi2_sf(x, df) - want) <= 1e-12 * want
+
+    @pytest.mark.parametrize("df", [0, 2.5, -1])
+    def test_df_must_be_a_positive_integer(self, df):
+        with pytest.raises(ValueError):
+            chi2_sf(3.0, df)
 
     def test_edge_values(self):
         assert chi2_sf(0.0, 3) == 1.0
@@ -123,6 +133,21 @@ class TestPosthocMarks:
         if p > 0.05:
             marks = posthoc_marks(groups)
             assert all(m == "=" for row in marks for m in row)
+
+    def test_matches_scipy_dunn_oracle(self):
+        rng = np.random.default_rng(29)
+        marked = 0
+        for case in range(600):
+            k = int(rng.integers(2, 6))
+            groups = []
+            for _ in range(k):
+                values = rng.normal(rng.uniform(0.0, 2.0), 1.0, size=int(rng.integers(3, 31)))
+                # Every other set is integer-valued, so it carries ties.
+                groups.append(np.floor(2.0 * values) if case % 2 else values)
+            marks = posthoc_marks(groups)
+            assert marks == dunn_marks(groups)
+            marked += sum(m != "=" for row in marks for m in row)
+        assert marked > 500
 
     def test_benchmark_row_simulation(self):
         # four samples shaped like a published comparison row: the second
