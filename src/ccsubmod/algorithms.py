@@ -1,11 +1,13 @@
-"""Archive-based and population-based optimizers over bit-vector selections.
+"""Archive-based and population-based optimizers over node selections.
 
 Three algorithms share the bi-objective fitness from :mod:`ccsubmod.chance`:
 
 * ``gsemo``: keeps an archive of mutually non-dominated solutions, picks a
   parent uniformly at random, applies standard bit mutation, and inserts the
   offspring unless some member strictly dominates it (removing every member
-  the offspring weakly dominates).
+  the offspring weakly dominates). Each member holds its selection and
+  coverage in one byte per node (see :func:`ccsubmod.graphs.update_coverage`),
+  from which a child's is updated.
 * ``sw-gsemo``: same loop, but the parent comes from a weight window
   ``[floor(c), ceil(c)]`` with ``c = (t / t_max) * B`` sliding linearly from
   0 to the budget over the run.
@@ -58,25 +60,25 @@ def make_rng(*entropy: int) -> np.random.Generator:
 class Individual:
     """A selection with its cached objectives.
 
-    ``covered`` is the read-only covered mask of a feasible selection, from
-    which a child's coverage is updated; it is None when the selection is
-    infeasible.
+    ``state`` is the read-only uint8 state of a feasible selection: value 2
+    marks a selected node and value 1 a covered one, so the selection is
+    ``state >> 1``. It is None when the selection is infeasible.
     """
 
-    bits: np.ndarray
+    state: np.ndarray | None
     size: int
     expected: float
     g1: float
     g2: float
-    covered: np.ndarray | None = None
 
     @property
     def obj(self) -> Objectives:
         return Objectives(self.g1, self.g2)
 
-    def bits_hex(self) -> str:
-        """Big-endian packed bit string as hex (ceil(n/8) bytes)."""
-        return np.packbits(self.bits).tobytes().hex()
+
+def _bits_hex(bits: np.ndarray) -> str:
+    """A 0/1 vector packed big-endian, as hex (ceil(n/8) bytes)."""
+    return np.packbits(bits).tobytes().hex()
 
 
 class ParetoArchive:
@@ -141,10 +143,6 @@ class ParetoArchive:
         """Indices ``[start, stop)`` of the members with lo <= g2 <= hi."""
         return bisect_left(self._g2, lo), bisect_right(self._g2, hi)
 
-    def best(self) -> Individual:
-        """Member with the largest g1 (the top of the staircase)."""
-        return self._members[-1]
-
 
 # ---------------------------------------------------------------------------
 # Variation
@@ -179,40 +177,31 @@ def _mutation_positions(n: int, rng: np.random.Generator) -> np.ndarray:
 _EMPTY_POSITIONS = np.empty(0, dtype=np.int64)
 
 
-def _spawn_child(
-    parent: Individual, pos: np.ndarray, expected_arr: np.ndarray
-) -> tuple[np.ndarray, int, float]:
-    """Child bits and incrementally-updated (size, expected) after flips.
+def _spawn_child(parent: Individual, pos: np.ndarray, expected_arr: np.ndarray) -> tuple[int, float]:
+    """The child's (size, expected), updated from the parent's after flips.
 
     The integer means keep ``expected`` an exact sum.
     """
-    bits = parent.bits.copy()
+    state = parent.state
     size, expected = parent.size, parent.expected
     for p in pos.tolist():
         weight = expected_arr.item(p)
-        if bits.item(p):
-            bits[p] = 0
+        if state.item(p) & 2:
             size -= 1
             expected -= weight
         else:
-            bits[p] = 1
             size += 1
             expected += weight
-    return bits, size, expected
+    return size, expected
 
 
 def _offspring(
     evaluator: Evaluator, parent: Individual, pos: np.ndarray, expected_arr: np.ndarray
 ) -> Individual:
-    """Scored child of ``parent`` with ``pos`` flipped.
-
-    Its coverage is updated from the parent's covered mask when the parent
-    has one, and computed from scratch otherwise.
-    """
-    bits, size, expected = _spawn_child(parent, pos, expected_arr)
-    g1, g2, covered = evaluator.evaluate_from_stats(bits, size, expected, parent.covered, pos)
-    bits.setflags(write=False)
-    return Individual(bits=bits, size=size, expected=expected, g1=g1, g2=g2, covered=covered)
+    """Scored child of the feasible ``parent`` with ``pos`` flipped."""
+    size, expected = _spawn_child(parent, pos, expected_arr)
+    g1, g2, state = evaluator.evaluate_from_stats(size, expected, parent.state, pos)
+    return Individual(state=state, size=size, expected=expected, g1=g1, g2=g2)
 
 
 # ---------------------------------------------------------------------------
@@ -379,13 +368,6 @@ def _config_echo(instance: Instance, cfg: RunConfig) -> dict:
 # GSEMO and SW-GSEMO
 # ---------------------------------------------------------------------------
 
-def _empty_individual(evaluator: Evaluator, n: int) -> Individual:
-    bits = np.zeros(n, dtype=np.uint8)
-    bits.setflags(write=False)
-    g1, g2, covered = evaluator.evaluate_from_stats(bits, 0, 0.0)
-    return Individual(bits=bits, size=0, expected=0.0, g1=g1, g2=g2, covered=covered)
-
-
 def _run_archive_loop(instance: Instance, cfg: RunConfig, sliding: bool) -> RunResult:
     start = time.perf_counter()
     rng = make_rng(*cfg.seed_tuple())
@@ -395,7 +377,9 @@ def _run_archive_loop(instance: Instance, cfg: RunConfig, sliding: bool) -> RunR
     budget = instance.budget
     t_max = cfg.t_max
 
-    root = _empty_individual(evaluator, n)
+    # The empty selection is feasible, as the budget is positive.
+    g1, g2, state = evaluator.evaluate_from_stats(0, 0.0, np.zeros(n, dtype=np.uint8), _EMPTY_POSITIONS)
+    root = Individual(state=state, size=0, expected=0.0, g1=g1, g2=g2)
     archive = ParetoArchive()
     archive.insert(root)
     best = root
@@ -423,7 +407,7 @@ def _run_archive_loop(instance: Instance, cfg: RunConfig, sliding: bool) -> RunR
     return RunResult(
         algorithm=cfg.algorithm,
         best_g1=best.g1,
-        best_bits_hex=best.bits_hex(),
+        best_bits_hex=_bits_hex(best.state >> 1),
         archive_size=len(archive),
         peak_archive_size=archive.peak_size,
         evaluations=evaluator.evaluations,
@@ -635,7 +619,7 @@ def _run_nsga2(instance: Instance, cfg: RunConfig) -> RunResult:
     return RunResult(
         algorithm="nsga2",
         best_g1=best_g1,
-        best_bits_hex=np.packbits(best_bits).tobytes().hex(),
+        best_bits_hex=_bits_hex(best_bits),
         archive_size=_distinct_points(pop_g1, front0),
         peak_archive_size=peak_tradeoffs,
         evaluations=evaluator.evaluations,

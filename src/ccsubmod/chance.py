@@ -67,11 +67,11 @@ class Objectives(NamedTuple):
 
 
 class Scored(NamedTuple):
-    """Objectives plus the covered mask they came from (None if infeasible)."""
+    """Objectives plus the state they came from (None if infeasible)."""
 
     g1: float
     g2: float
-    covered: np.ndarray | None
+    state: np.ndarray | None
 
 
 def _tail_coefficient(model: WeightModel, alpha: float, kind: SurrogateKind) -> float:
@@ -115,37 +115,31 @@ class Evaluator:
         sum to ``expected``; it rises strictly with the size when d > 0."""
         return expected + self.tail_coefficient * math.sqrt(size)
 
+    def _constraint(self, size: int, expected: float) -> tuple[float, bool]:
+        """g2 of a selection and whether its surrogate weight fits the budget."""
+        sg = self.surrogate_from(expected, size)
+        return (sg if self.regime is G2Regime.SURROGATE else expected), sg <= self.budget
+
     def evaluate_from_stats(
-        self,
-        bits: np.ndarray,
-        size: int,
-        expected: float,
-        parent_covered: np.ndarray | None = None,
-        flipped: np.ndarray | None = None,
+        self, size: int, expected: float, parent_state: np.ndarray, flipped: np.ndarray
     ) -> Scored:
-        """Score a 0/1 uint8 selection whose size and expected weight are known.
+        """Score the child of a selection, given its size and expected weight.
 
         ``expected`` must equal the exact integer sum of selected means (the
         optimizers maintain it incrementally; integer arithmetic in float64
-        keeps it exact). When ``bits`` is a parent's selection with the
-        positions ``flipped`` flipped, passing the parent's covered mask as
-        ``parent_covered`` updates coverage from it; otherwise coverage is
-        computed from scratch. The returned mask is read-only.
+        keeps it exact). The child is ``parent_state`` (see
+        :func:`~ccsubmod.graphs.update_coverage`) with the nodes ``flipped``
+        flipped; a feasible child's state is updated from a copy of it and
+        returned read-only.
         """
         self.evaluations += 1
-        sg = self.surrogate_from(expected, size)
-        g2 = sg if self.regime is G2Regime.SURROGATE else expected
-        if sg > self.budget:
+        g2, feasible = self._constraint(size, expected)
+        if not feasible:
             return Scored(INFEASIBLE_G1, g2, None)
-        if parent_covered is None:
-            covered = np.zeros(self.graph.n, dtype=bool)
-            g1 = coverage_of_indices(self.graph, bits.view(np.bool_).nonzero()[0], covered)
-        else:
-            covered = parent_covered.copy()
-            update_coverage(self.graph, covered, bits, flipped)
-            g1 = int(np.count_nonzero(covered))
-        covered.setflags(write=False)
-        return Scored(float(g1), g2, covered)
+        state = parent_state.copy()
+        update_coverage(self.graph, state, flipped)
+        state.setflags(write=False)
+        return Scored(float(np.count_nonzero(state)), g2, state)
 
     def evaluate_groups(
         self, nodes: np.ndarray, groups: np.ndarray, count: int
@@ -172,7 +166,7 @@ class Evaluator:
         x = np.asarray(x)
         if x.shape != (self.model.n,):
             raise ValueError(f"bit vector length {x.shape} != model size {self.model.n}")
-        bits = (x != 0).view(np.uint8)
-        idx = np.flatnonzero(bits)
-        g1, g2, _ = self.evaluate_from_stats(bits, len(idx), float(self.model.expected[idx].sum()))
-        return Objectives(g1, g2)
+        idx = np.flatnonzero(x)
+        self.evaluations += 1
+        g2, feasible = self._constraint(len(idx), float(self.model.expected[idx].sum()))
+        return Objectives(float(coverage_of_indices(self.graph, idx)) if feasible else INFEASIBLE_G1, g2)

@@ -6,11 +6,13 @@ formats used by the network data repository). Node ids are normalized to
 neighbors) is one row of a CSR array, with the node itself first, so its
 open neighborhood is the rest of the row.
 
-Coverage is held as a covered mask: one bool per node, True when some
-selected node's row contains it. A full computation marks the rows of all
-selected nodes. An update after a few bit flips marks the rows of added
-nodes and rechecks the row of each removed node, so it costs the rows
-around the flipped nodes instead of the whole selection. Many small
+A full computation marks the rows of all selected nodes in a covered
+mask. A selection that is updated by flips is held as a state: one byte per
+node, where value 2 marks a selected node and value 1 a node that some
+selected node's row contains, so a selected node reads 3 and the coverage
+is the count of nonzero bytes. An update after a few flips marks the rows
+of added nodes and rechecks the row of each removed node, so it costs the
+rows around the flipped nodes instead of the whole selection. Many small
 selections at once are counted without masks, from the rows of their
 selected nodes.
 """
@@ -234,23 +236,25 @@ def coverage_of_groups(graph: Graph, nodes: np.ndarray, groups: np.ndarray, coun
     return edges[1:] - edges[:-1]
 
 
-def update_coverage(graph: Graph, covered: np.ndarray, bits: np.ndarray, flipped: np.ndarray) -> None:
-    """Turn a parent's covered mask into its child's, in place.
+def update_coverage(graph: Graph, state: np.ndarray, flipped: np.ndarray) -> None:
+    """Turn a parent's state into its child's, in place.
 
-    ``bits`` is the child's 0/1 selection (uint8) and ``flipped`` the
-    positions in which it differs from the parent. An added node covers its
-    row. A node in the row of a removed node stays covered only if its own
-    row still holds a selected node.
+    ``state`` is the parent's uint8 state (2 selected, 1 covered) and
+    ``flipped`` the distinct nodes whose selection flips. An added node
+    covers its row. A node in the row of a removed node stays covered only
+    if its own row still holds a selected node.
     """
     indptr, indices = graph.indptr, graph.indices
     lost = []
     for v in flipped.tolist():
         row = indices[indptr[v] : indptr[v + 1]]
-        if bits[v]:
-            covered[row] = True
-        else:
+        if state.item(v) & 2:
+            state[v] = 1
             lost.append(row)
+        else:
+            state[row] |= 1
+            state[v] = 3
     if lost:
         recheck = lost[0] if len(lost) == 1 else np.concatenate(lost)
         around, offsets, _ = _rows(graph, recheck)
-        covered[recheck] = np.maximum.reduceat(bits[around], offsets)
+        state[recheck] = (state[recheck] & 2) | (np.maximum.reduceat(state[around], offsets) >> 1)

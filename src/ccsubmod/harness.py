@@ -110,13 +110,19 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
     """Parse a JSON grid config; the dataclass defaults fill absent keys.
 
     Raises ValueError naming any key that is not a field of the entry it
-    sits in, so a misspelt key cannot silently run its default.
+    sits in, so a misspelt key cannot silently run its default, and any
+    list-valued key that holds something else.
     """
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    for key in ("instances", "algorithms", "t_max"):
+        _require_list(doc, key, "the config")
     instances = []
     for i, entry in enumerate(doc.get("instances", [])):
+        _require_list(entry, "alphas", f"instances[{i}]")
+        _require_list(entry, "surrogates", f"instances[{i}]")
+        _require_list(entry, "budgets", f"instances[{i}]", "grid")
         # The spec is frozen, so its list values (budgets, alphas,
         # surrogates) become tuples.
         lists = {k: tuple(v) for k, v in entry.items() if isinstance(v, list)}
@@ -131,6 +137,14 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
     )
     cfg.validate()
     return cfg
+
+
+def _require_list(entry: dict, key: str, where: str, *allowed: str) -> None:
+    """Raise ValueError unless ``entry[key]``, when present, is a list or
+    one of the ``allowed`` strings."""
+    value = entry.get(key, [])
+    if not isinstance(value, list) and value not in allowed:
+        raise ValueError(f"{key!r} in {where} must be a list, got {value!r}")
 
 
 def _from_entry(cls, entry: dict, where: str, **resolved):

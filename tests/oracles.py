@@ -205,6 +205,15 @@ def coverage_count(graph, selection) -> int:
     return coverage_of_indices(graph, np.flatnonzero(selection))
 
 
+def full_state(graph, selection) -> tuple[np.ndarray, int]:
+    """``2·selection + covered`` as uint8, with the covered mask computed
+    from scratch by ``coverage_of_indices``, and its coverage count."""
+    selection = np.asarray(selection, dtype=np.uint8)
+    covered = np.zeros(graph.n, dtype=bool)
+    count = coverage_of_indices(graph, np.flatnonzero(selection), covered)
+    return 2 * selection + covered, count
+
+
 def sample_weight_totals(model, selection, rng: np.random.Generator, samples: int) -> np.ndarray:
     """Monte-Carlo totals of the stochastic weight of a 0/1 selection.
 

@@ -36,7 +36,7 @@ from ccsubmod import (
 from ccsubmod.chance import Evaluator
 from ccsubmod.harness import AlgorithmSpec, ExperimentConfig, InstanceSpec, run_experiment
 from conftest import DATA_DIR, random_sparse_graph
-from oracles import exhaustive_optimum, filter_nondominated, monte_carlo_violation
+from oracles import exhaustive_optimum, filter_nondominated, full_state, monte_carlo_violation
 
 REPETITIONS = 10
 BASE_SEED = 20260808
@@ -314,8 +314,8 @@ def _desk_case_outcome(i: int) -> dict:
         bits = (rng.random(instance.graph.n) < rng.uniform(0, 0.6)).astype(np.uint8)
         obj = evaluator.evaluate_bits(bits)
         pairs.append((obj.g1, obj.g2))
-        archive.insert(Individual(bits=bits, size=int(bits.sum()), expected=0.0,
-                                  g1=obj.g1, g2=obj.g2))
+        state = full_state(instance.graph, bits)[0] if obj.g1 >= 0 else None
+        archive.insert(Individual(state=state, size=int(bits.sum()), expected=0.0, g1=obj.g1, g2=obj.g2))
     outcome["archive_matches"] = (
         sorted((m.g1, m.g2) for m in archive.members) == filter_nondominated(pairs)
     )

@@ -29,6 +29,7 @@ from oracles import (
     bits_from_hex,
     coverage_count,
     exhaustive_optimum,
+    full_state,
     layered_fronts,
     naive_coverage,
     sized_tournaments,
@@ -36,7 +37,7 @@ from oracles import (
 
 
 def ind(g1, g2, size=0):
-    return Individual(bits=np.zeros(1, dtype=np.uint8), size=size, expected=0.0,
+    return Individual(state=np.zeros(1, dtype=np.uint8), size=size, expected=0.0,
                       g1=float(g1), g2=float(g2))
 
 
@@ -307,23 +308,28 @@ class TestCoverageMasks:
 
     def run_checked(self, monkeypatch, algorithm):
         from ccsubmod import algorithms
-        from ccsubmod.graphs import coverage_of_indices
 
         inst = small_instance(seed=21, n=30, budget=9.0, weights="degree")
         adjacency = adjacency_lists(inst.graph)
+        means = inst.weights.expected
         parents_without_mask = []
         original = algorithms._offspring
 
         def checked(evaluator, parent, pos, expected_arr):
+            parents_without_mask.append(parent.state is None)
+            bits = parent.state >> 1
+            bits[pos] ^= 1
             child = original(evaluator, parent, pos, expected_arr)
-            parents_without_mask.append(parent.covered is None)
+            nodes = np.flatnonzero(bits)
+            assert child.size == len(nodes) and child.expected == means[nodes].sum()
             if child.g1 >= 0:
-                full = np.zeros(inst.graph.n, dtype=bool)
-                count = coverage_of_indices(inst.graph, np.flatnonzero(child.bits), full)
-                assert np.array_equal(child.covered, full)
-                assert child.g1 == count == naive_coverage(adjacency, child.bits)
+                want, count = full_state(inst.graph, bits)
+                assert np.array_equal(child.state, want)
+                assert set(np.unique(child.state).tolist()) <= {0, 1, 3}
+                assert child.g1 == count == np.count_nonzero(child.state) == naive_coverage(adjacency, bits)
+                assert not child.state.flags.writeable
             else:
-                assert child.covered is None
+                assert child.state is None
             return child
 
         monkeypatch.setattr(algorithms, "_offspring", checked)
@@ -334,6 +340,30 @@ class TestCoverageMasks:
     def test_archive_offspring_come_from_parent_masks(self, monkeypatch, algorithm):
         # Infeasible selections never enter the archive, so every parent has a mask.
         assert not any(self.run_checked(monkeypatch, algorithm))
+
+    @pytest.mark.parametrize("algorithm", ["gsemo", "sw-gsemo"])
+    def test_members_hold_one_byte_per_node(self, monkeypatch, algorithm):
+        from dataclasses import fields
+
+        inst = small_instance(seed=21, n=30, budget=9.0, weights="degree")
+        original = ParetoArchive.insert
+        members = []
+
+        def capture(self, ind):
+            accepted = original(self, ind)
+            if accepted:
+                members.append(ind)
+            return accepted
+
+        monkeypatch.setattr(ParetoArchive, "insert", capture)
+        run(inst, RunConfig(algorithm=algorithm, t_max=500, seed=5))
+        assert len(members) > 10
+        for ind in members:
+            arrays = [getattr(ind, f.name) for f in fields(ind)]
+            arrays = [v for v in arrays if isinstance(v, np.ndarray)]
+            assert len(arrays) == 1
+            assert arrays[0].dtype == np.uint8 and arrays[0].shape == (inst.graph.n,)
+            assert arrays[0].nbytes == inst.graph.n
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(

@@ -8,7 +8,7 @@ from oracles import filter_nondominated
 
 
 def ind(g1, g2):
-    return Individual(bits=np.zeros(1, dtype=np.uint8), size=0, expected=0.0,
+    return Individual(state=np.zeros(1, dtype=np.uint8), size=0, expected=0.0,
                       g1=float(g1), g2=float(g2))
 
 

@@ -17,7 +17,7 @@ from ccsubmod import (
     make_degree_weights,
     make_iid_weights,
 )
-from oracles import adjacency_lists, naive_coverage, naive_objectives
+from oracles import adjacency_lists, full_state, naive_coverage, naive_objectives
 
 
 def bitvec(n, ones):
@@ -200,20 +200,25 @@ class TestEvaluate:
         ev = Evaluator(roomy)
         adjacency = adjacency_lists(roomy.graph)
         parent = bitvec(5, [0, 3])
-        _, _, parent_covered = ev.evaluate_from_stats(parent, 2, 2.0)
+        # The parent is scored as the empty selection with its nodes flipped.
+        _, _, parent_state = ev.evaluate_from_stats(2, 2.0, np.zeros(5, dtype=np.uint8), np.array([0, 3]))
+        assert np.array_equal(parent_state, full_state(roomy.graph, parent)[0])
         for flipped in ([2], [0, 2], [0], [0, 3], [1, 3, 4]):
             child = parent.copy()
             child[flipped] ^= 1
             size, expected = int(child.sum()), float(child.sum())
-            full = ev.evaluate_from_stats(child, size, expected)
-            delta = ev.evaluate_from_stats(child, size, expected, parent_covered, np.array(flipped))
+            full = ev.evaluate_bits(child)
+            delta = ev.evaluate_from_stats(size, expected, parent_state, np.array(flipped))
             assert delta.g1 == full.g1 == naive_coverage(adjacency, child)
             assert delta.g2 == full.g2
-            assert np.array_equal(delta.covered, full.covered)
-            assert not delta.covered.flags.writeable
+            assert np.array_equal(delta.state, full_state(roomy.graph, child)[0])
+            assert not delta.state.flags.writeable
+            assert not parent_state.flags.writeable
 
     def test_infeasible_has_no_mask(self, toy_instance):
-        assert Evaluator(toy_instance).evaluate_from_stats(bitvec(5, range(5)), 5, 5.0).covered is None
+        ev = Evaluator(toy_instance)
+        assert ev.evaluate_from_stats(5, 5.0, np.zeros(5, dtype=np.uint8), np.arange(5)).state is None
+        assert ev.evaluations == 1
 
 
 class TestDominates:

@@ -236,6 +236,21 @@ class TestExperiment:
         assert "'alpha'" in err
         assert not (tmp_path / "out7").exists()
 
+    @pytest.mark.parametrize(
+        "key, value",
+        [("t_max", 50), ("instances", {}), ("algorithms", {"algorithm": "gsemo"}),
+         ("alphas", 0.1), ("surrogates", "chebyshev"), ("budgets", 3), ("budgets", "all")],
+    )
+    def test_scalar_for_list_key_is_config_error(self, graph_file, tmp_path, key, value):
+        doc = json.loads(self.write_config(graph_file, tmp_path, "out11").read_text())
+        (doc["instances"][0] if key in ("alphas", "surrogates", "budgets") else doc)[key] = value
+        p = tmp_path / "scalar.json"
+        p.write_text(json.dumps(doc))
+        code, _, err = cli("experiment", "--config", str(p), "--workers", "1")
+        assert code == 2
+        assert f"{key!r}" in err
+        assert not (tmp_path / "out11").exists()
+
     def test_resume_recomputes_truncated_run_file(self, graph_file, tmp_path):
         cfg = self.write_config(graph_file, tmp_path, "out8")
         assert cli("experiment", "--config", str(cfg), "--workers", "1")[0] == 0

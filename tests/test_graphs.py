@@ -6,7 +6,7 @@ from hypothesis import strategies as st
 from ccsubmod import GraphFormatError, load_graph, save_edge_list
 from ccsubmod.graphs import coverage_of_indices, update_coverage
 from conftest import GRAPHS, random_sparse_graph
-from oracles import adjacency_lists, closed_neighborhood, coverage_count, naive_coverage
+from oracles import adjacency_lists, closed_neighborhood, coverage_count, full_state, naive_coverage
 
 
 def write(tmp_path, name, text):
@@ -179,12 +179,6 @@ class TestCoverage:
             assert gain_small >= gain_large
 
 
-def full_mask(g, bits):
-    covered = np.zeros(g.n, dtype=bool)
-    count = coverage_of_indices(g, np.flatnonzero(bits), covered)
-    return covered, count
-
-
 class TestIncrementalCoverage:
     @settings(max_examples=120, deadline=None, derandomize=True)
     @given(
@@ -193,6 +187,7 @@ class TestIncrementalCoverage:
         mode=st.sampled_from(["add", "remove", "mixed"]),
     )
     def test_flip_sequences_match_full_mask_and_oracle(self, data, name, mode):
+        # ``bits`` tracks the selection apart from the state under test.
         g = GRAPHS[name]
         adjacency = adjacency_lists(g)
         if mode == "add":
@@ -201,7 +196,7 @@ class TestIncrementalCoverage:
             bits = np.ones(g.n, dtype=np.uint8)
         else:
             bits = np.array(data.draw(st.lists(st.booleans(), min_size=g.n, max_size=g.n)), dtype=np.uint8)
-        covered, _ = full_mask(g, bits)
+        state, _ = full_state(g, bits)
         for _ in range(data.draw(st.integers(min_value=1, max_value=10))):
             if mode == "add":
                 allowed = np.flatnonzero(bits == 0)
@@ -216,19 +211,20 @@ class TestIncrementalCoverage:
                 dtype=np.int64,
             )
             bits[pos] ^= 1
-            update_coverage(g, covered, bits, pos)
-            want, count = full_mask(g, bits)
-            assert np.array_equal(covered, want)
-            assert np.count_nonzero(covered) == count == naive_coverage(adjacency, bits)
+            update_coverage(g, state, pos)
+            want, count = full_state(g, bits)
+            assert np.array_equal(state, want)
+            assert set(np.unique(state).tolist()) <= {0, 1, 3}
+            assert np.count_nonzero(state) == count == naive_coverage(adjacency, bits)
 
     def test_removing_hub_keeps_leaves_covered_by_other_leaves(self):
         g = GRAPHS["star"]
         bits = np.zeros(g.n, dtype=np.uint8)
         bits[[0, 3]] = 1
-        covered, _ = full_mask(g, bits)
-        bits[0] = 0
-        update_coverage(g, covered, bits, np.array([0]))
-        assert np.flatnonzero(covered).tolist() == [0, 3]
+        state, _ = full_state(g, bits)
+        update_coverage(g, state, np.array([0]))
+        assert np.flatnonzero(state).tolist() == [0, 3]
+        assert state[[0, 3]].tolist() == [1, 3]
 
     def test_out_receives_mask(self):
         g = GRAPHS["isolated-tail"]

@@ -1,10 +1,10 @@
 import numpy as np
 import pytest
 
-from ccsubmod import make_degree_weights, make_rng
-from ccsubmod.algorithms import Individual, _mutation_positions, _spawn_child
+from ccsubmod import Evaluator, Instance, SurrogateKind, make_degree_weights, make_rng
+from ccsubmod.algorithms import Individual, _mutation_positions, _offspring
 from conftest import random_sparse_graph
-from oracles import sized_mutation_positions
+from oracles import full_state, sized_mutation_positions
 
 
 class TestStandardBitMutation:
@@ -22,25 +22,30 @@ class TestStandardBitMutation:
     def test_parent_not_modified(self):
         # Degree weights give non-unit integer means, so size and expected
         # differ; at n = 6 mutation also takes the permutation branch
-        # (k * (k - 1) >= n). Each child is the next parent.
+        # (k * (k - 1) >= n). The budget keeps every child feasible, and
+        # each child is the next parent.
         for n in (6, 30):
-            means = make_degree_weights(random_sparse_graph(n, 2 * n, seed=n), 1.0).expected
-            bits = np.zeros(n, dtype=np.uint8)
-            bits[[1, 3, 5]] = 1
-            parent = Individual(bits=bits, size=3, expected=float(means[[1, 3, 5]].sum()), g1=0.0, g2=0.0)
+            graph = random_sparse_graph(n, 2 * n, seed=n)
+            model = make_degree_weights(graph, 1.0)
+            means = model.expected
+            evaluator = Evaluator(Instance(graph=graph, weights=model, budget=1e9, alpha=0.1,
+                                           surrogate=SurrogateKind.CHEBYSHEV))
+            state, g1 = full_state(graph, np.isin(np.arange(n), [1, 3, 5]))
+            parent = Individual(state=state, size=3, expected=float(means[[1, 3, 5]].sum()), g1=float(g1), g2=0.0)
             rng = make_rng(5)
             permuted = 0
             for _ in range(300):
-                snapshot = parent.bits.copy()
+                snapshot = parent.state.copy()
                 pos = _mutation_positions(n, rng)
                 permuted += len(pos) * (len(pos) - 1) >= n
-                child, size, expected = _spawn_child(parent, pos, means)
-                assert np.array_equal(np.flatnonzero(child != snapshot), np.sort(pos))
-                assert np.array_equal(parent.bits, snapshot)
-                nodes = np.flatnonzero(child)
-                assert size == len(nodes)
-                assert isinstance(expected, float) and expected == means[nodes].sum()
-                parent = Individual(bits=child, size=size, expected=expected, g1=0.0, g2=0.0)
+                child = _offspring(evaluator, parent, pos, means)
+                selection = child.state >> 1
+                assert np.array_equal(np.flatnonzero(selection != snapshot >> 1), np.sort(pos))
+                assert np.array_equal(parent.state, snapshot)
+                nodes = np.flatnonzero(selection)
+                assert child.size == len(nodes)
+                assert isinstance(child.expected, float) and child.expected == means[nodes].sum()
+                parent = child
             if n == 6:
                 assert permuted > 0
 
