@@ -26,6 +26,7 @@ from __future__ import annotations
 import math
 import time
 from bisect import bisect_left, bisect_right
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -54,6 +55,46 @@ def make_rng(*entropy: int) -> np.random.Generator:
     published result file.
     """
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(list(entropy))))
+
+
+def _index_draw(rng: np.random.Generator) -> Callable[[int], int]:
+    """``draw(bound)``: the value ``rng.integers(bound)`` returns, leaving
+    ``rng`` in the state that call leaves.
+
+    A scalar ``rng.integers`` call spends most of its time on argument
+    handling. For a bound below 2**32 its value is Lemire's
+    multiply-and-reject method (ACM TOMACS 2019) on 32-bit outputs of the
+    bit generator, so running that method on the bit generator's
+    ``next_uint32`` through ``bit_generator.ctypes`` gives the same values
+    from the same stream at about a third of the cost. The index draws thus
+    depend on PCG64's ``next_uint32`` alone, not on how
+    ``Generator.integers`` is implemented; ``tests/test_mutation.py`` checks
+    the two against each other, generator state included. A bound of 1 returns 0 and draws
+    nothing, as numpy does; a bound of 2**32 or more raises ``ValueError``.
+    """
+    bit_generator = rng.bit_generator
+    interface = bit_generator.ctypes
+    next_uint32, state = interface.next_uint32, interface.state
+
+    def draw(bound: int) -> int:
+        if bound <= 1:
+            if bound == 1:
+                return 0
+            raise ValueError(f"bound must be positive, got {bound}")
+        if bound > 0xFFFFFFFF:
+            raise ValueError(f"bound must be below 2**32, got {bound}")
+        m = next_uint32(state) * bound
+        if m & 0xFFFFFFFF < bound:
+            # Reject the lowest 2**32 mod bound products, which would bias
+            # the high word.
+            threshold = (0x100000000 - bound) % bound
+            while m & 0xFFFFFFFF < threshold:
+                m = next_uint32(state) * bound
+        return m >> 32
+
+    # The ctypes pointers do not keep the generator alive; this does.
+    draw.bit_generator = bit_generator
+    return draw
 
 
 @dataclass(slots=True)
@@ -135,9 +176,11 @@ class ParetoArchive:
             self.peak_size = len(g2s)
         return True
 
-    def uniform_member(self, rng: np.random.Generator) -> Individual:
-        m = self._members
-        return m[rng.integers(len(m))] if len(m) > 1 else m[0]
+    def uniform_member(self, draw: Callable[[int], int]) -> Individual:
+        """A member drawn uniformly by ``draw`` (see :func:`_index_draw`):
+        the one ``rng.integers(len(self))`` would pick, taken from PCG64's
+        ``next_uint32`` without going through ``Generator.integers``."""
+        return self._members[draw(len(self._members))]
 
     def index_range(self, lo: float, hi: float) -> tuple[int, int]:
         """Indices ``[start, stop)`` of the members with lo <= g2 <= hi."""
@@ -148,28 +191,30 @@ class ParetoArchive:
 # Variation
 # ---------------------------------------------------------------------------
 
-def _mutation_positions(n: int, rng: np.random.Generator) -> np.ndarray:
+def _mutation_positions(n: int, rng: np.random.Generator, draw: Callable[[int], int]) -> np.ndarray:
     """Distinct positions to flip; each bit flips independently w.p. 1/n.
 
     Sampling the flip count from Binomial(n, 1/n) and then a uniform
     k-subset of positions is distributionally identical to n independent
     coin flips, at O(k) cost.
 
-    The positions are drawn as k scalar ``rng.integers(n)`` calls, which
-    cost far less than one ``rng.integers(0, n, size=k)`` call. On numpy
-    2.4.6 the two give the same values and leave the generator in the same
-    state, so seeded runs reproduce the sized draw's results;
-    ``tests/test_mutation.py`` checks this against the sized draw.
+    The count comes from ``rng.binomial`` and the positions from k calls of
+    ``draw``, the index draw bound to ``rng`` (see :func:`_index_draw`).
+    These give the values and the generator state of one
+    ``rng.integers(0, n, size=k)`` call, so seeded runs reproduce the sized
+    draw's results; ``tests/test_mutation.py`` checks this against the sized
+    draw. The positions depend only on PCG64's ``next_uint32``, not on how
+    ``Generator.integers`` is implemented. They are an int64 array.
     """
     k = int(rng.binomial(n, 1.0 / n))
     if k == 0:
         return _EMPTY_POSITIONS
     if k == 1:
-        return np.array([rng.integers(n)])
+        return np.array([draw(n)])
     if k * (k - 1) >= n:
         return rng.permutation(n)[:k]
     while True:
-        pos = [rng.integers(n) for _ in range(k)]
+        pos = [draw(n) for _ in range(k)]
         if len(set(pos)) == k:
             return np.array(pos)
 
@@ -213,18 +258,19 @@ def _sliding_select(
     t: int,
     t_max: int,
     budget: float,
-    rng: np.random.Generator,
+    draw: Callable[[int], int],
 ) -> tuple[Individual, bool, int]:
     """Pick a parent from the sliding weight window.
 
     With ``c = (t / t_max) * budget``, candidates are the members whose g2
-    lies in ``[floor(c), ceil(c)]``; one is chosen uniformly at random.
+    lies in ``[floor(c), ceil(c)]``; ``draw`` (see :func:`_index_draw`)
+    chooses one uniformly at random.
     Returns (parent, in_window, window occupancy). When the window is empty
     the best-coverage member below it is used instead (``in_window`` False),
     and past ``t_max`` selection reverts to uniform over the whole archive.
     """
     if t > t_max or t_max < 1:
-        return archive.uniform_member(rng), False, 0
+        return archive.uniform_member(draw), False, 0
     c_hat = (t / t_max) * budget
     lo = math.floor(c_hat)
     hi = math.ceil(c_hat)
@@ -232,8 +278,9 @@ def _sliding_select(
     occ = i1 - i0
     members = archive.members
     if occ > 0:
-        pick = i0 if occ == 1 else i0 + int(rng.integers(occ))
-        return members[pick], True, occ
+        # The window mostly holds one member; a bound-1 draw would draw
+        # nothing anyway, so skip the call.
+        return members[i0 if occ == 1 else i0 + draw(occ)], True, occ
     # Empty window: take the best-coverage member among those below it. The
     # staircase ordering makes that the last member with g2 <= floor(c_hat);
     # g1 ties cannot occur between archive members. No member has
@@ -242,7 +289,7 @@ def _sliding_select(
     if i0 == 0:
         # Unreachable while the empty selection (g2 = 0) stays archived;
         # fall back to uniform selection for totality.
-        return archive.uniform_member(rng), False, 0
+        return archive.uniform_member(draw), False, 0
     return members[i0 - 1], False, 0
 
 
@@ -371,6 +418,7 @@ def _config_echo(instance: Instance, cfg: RunConfig) -> dict:
 def _run_archive_loop(instance: Instance, cfg: RunConfig, sliding: bool) -> RunResult:
     start = time.perf_counter()
     rng = make_rng(*cfg.seed_tuple())
+    draw = _index_draw(rng)
     evaluator = Evaluator(instance, cfg.regime)
     n = instance.graph.n
     expected_arr = instance.weights.expected
@@ -387,10 +435,10 @@ def _run_archive_loop(instance: Instance, cfg: RunConfig, sliding: bool) -> RunR
 
     for t in range(1, t_max + 1):
         if sliding:
-            parent, in_window, occ = _sliding_select(archive, t, t_max, budget, rng)
+            parent, in_window, occ = _sliding_select(archive, t, t_max, budget, draw)
         else:
-            parent, in_window, occ = archive.uniform_member(rng), False, 0
-        pos = _mutation_positions(n, rng)
+            parent, in_window, occ = archive.uniform_member(draw), False, 0
+        pos = _mutation_positions(n, rng, draw)
         if len(pos) == 0:
             # Offspring identical to parent: re-inserting the parent changes
             # nothing, but the iteration still counts as one evaluation.
@@ -557,6 +605,7 @@ def _run_nsga2(instance: Instance, cfg: RunConfig) -> RunResult:
     """
     start = time.perf_counter()
     rng = make_rng(*cfg.seed_tuple())
+    draw = _index_draw(rng)
     evaluator = Evaluator(instance, cfg.regime)
     n = instance.graph.n
     mu, lam = cfg.population, cfg.children
@@ -587,7 +636,7 @@ def _run_nsga2(instance: Instance, cfg: RunConfig) -> RunResult:
                 # Uniform crossover flips p1's bits where p2's are taken.
                 d = diff[bounds[i] : bounds[i + 1]]
                 flips.append(d[rng.random(len(d)) < 0.5])
-            pos = _mutation_positions(n, rng)
+            pos = _mutation_positions(n, rng, draw)
             if len(pos):
                 flips.append(pos + i * n)
         keys = _odd_keys(np.concatenate(flips))

@@ -29,7 +29,7 @@ from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import closing
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -109,34 +109,65 @@ class ExperimentConfig:
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
     """Parse a JSON grid config; the dataclass defaults fill absent keys.
 
-    Raises ValueError naming any key that is not a field of the entry it
-    sits in, so a misspelt key cannot silently run its default, and any
-    list-valued key that holds something else.
+    Raises ValueError naming the entry at fault when the config or one of
+    its ``instances`` or ``algorithms`` entries is not a JSON object, lacks
+    a required key, holds a key that is not a field of the entry (so a
+    misspelt key cannot silently run its default), holds something other
+    than a list under a list-valued key, or holds a scalar of the wrong
+    type.
     """
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
+    _check_entry(ExperimentConfig, doc, "the config")
     for key in ("instances", "algorithms", "t_max"):
         _require_list(doc, key, "the config")
     instances = []
-    for i, entry in enumerate(doc.get("instances", [])):
-        _require_list(entry, "alphas", f"instances[{i}]")
-        _require_list(entry, "surrogates", f"instances[{i}]")
-        _require_list(entry, "budgets", f"instances[{i}]", "grid")
+    for i, entry in enumerate(doc["instances"]):
+        where = f"instances[{i}]"
+        _check_entry(InstanceSpec, entry, where)
+        _require_list(entry, "alphas", where)
+        _require_list(entry, "surrogates", where)
+        _require_list(entry, "budgets", where, "grid")
         # The spec is frozen, so its list values (budgets, alphas,
         # surrogates) become tuples.
         lists = {k: tuple(v) for k, v in entry.items() if isinstance(v, list)}
         graph = str(_resolve_path(entry["graph"], path.parent))
-        instances.append(_from_entry(InstanceSpec, entry, f"instances[{i}]", **lists, graph=graph))
-    algorithms = [
-        _from_entry(AlgorithmSpec, entry, f"algorithms[{i}]") for i, entry in enumerate(doc.get("algorithms", []))
-    ]
-    cfg = _from_entry(
-        ExperimentConfig, doc, "the config",
-        instances=instances, algorithms=algorithms, name=doc.get("name", path.stem),
-    )
+        instances.append(InstanceSpec(**{**entry, **lists, "graph": graph}))
+    algorithms = []
+    for i, entry in enumerate(doc["algorithms"]):
+        _check_entry(AlgorithmSpec, entry, f"algorithms[{i}]")
+        algorithms.append(AlgorithmSpec(**entry))
+    name = doc.get("name", path.stem)
+    cfg = ExperimentConfig(**{**doc, "instances": instances, "algorithms": algorithms, "name": name})
     cfg.validate()
     return cfg
+
+
+# Field annotations (strings, as annotations are postponed) whose values a
+# config entry must give as JSON scalars of these types.
+_SCALAR_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
+
+
+def _check_entry(cls, entry, where: str) -> None:
+    """Raise ValueError unless ``entry`` is a JSON object that can build a
+    ``cls``: no unknown key, every required key, and a JSON scalar of the
+    field's type under each ``int``, ``float`` or ``str`` field."""
+    if not isinstance(entry, dict):
+        kind = {list: "an array", str: "a string", bool: "a boolean", type(None): "null"}.get(type(entry), "a number")
+        raise ValueError(f"{where} must be a JSON object, got {kind}")
+    names = {f.name: f for f in fields(cls)}
+    unknown = sorted(set(entry) - set(names))
+    if unknown:
+        raise ValueError(f"unknown key {unknown[0]!r} in {where}")
+    for name, f in names.items():
+        if name not in entry:
+            if f.default is MISSING and f.default_factory is MISSING:
+                raise ValueError(f"{where} has no {name!r} key")
+            continue
+        value, kinds = entry[name], _SCALAR_TYPES.get(f.type)
+        if kinds is not None and (isinstance(value, bool) or not isinstance(value, kinds)):
+            raise ValueError(f"{name!r} in {where} must be of type {f.type}, got {value!r}")
 
 
 def _require_list(entry: dict, key: str, where: str, *allowed: str) -> None:
@@ -145,17 +176,6 @@ def _require_list(entry: dict, key: str, where: str, *allowed: str) -> None:
     value = entry.get(key, [])
     if not isinstance(value, list) and value not in allowed:
         raise ValueError(f"{key!r} in {where} must be a list, got {value!r}")
-
-
-def _from_entry(cls, entry: dict, where: str, **resolved):
-    """``cls`` from a config entry, with ``resolved`` replacing raw values."""
-    unknown = sorted(set(entry) - {f.name for f in fields(cls)})
-    if unknown:
-        raise ValueError(f"unknown key {unknown[0]!r} in {where}")
-    try:
-        return cls(**{**entry, **resolved})
-    except TypeError as exc:  # a required key is missing
-        raise ValueError(f"{where}: {exc}") from None
 
 
 def _resolve_path(p: str, base: Path) -> Path:
@@ -247,13 +267,15 @@ def expand_cells(cfg: ExperimentConfig) -> tuple[list[Cell], list[dict]]:
     Each graph path is loaded once, and its cells share the graph. Raises
     ValueError when two cells share a ``cell_id``, which names their
     run files: the id leaves out the regime, ``a``, ``d`` and the graph path,
-    so such cells need distinct algorithm labels or instance names.
+    so such cells need distinct algorithm labels or instance names. Also
+    raises ValueError when ``"budgets": "grid"`` meets a graph of fewer than
+    20 nodes, whose ``n // 20`` budget would be 0.
     """
     cells: list[Cell] = []
     errors: list[dict] = []
     graphs: dict[str, Graph] = {}
     index = 0
-    for spec in cfg.instances:
+    for i, spec in enumerate(cfg.instances):
         if spec.graph not in graphs:
             try:
                 graphs[spec.graph] = load_graph(spec.graph)
@@ -261,7 +283,15 @@ def expand_cells(cfg: ExperimentConfig) -> tuple[list[Cell], list[dict]]:
                 errors.append({"instance": spec.resolved_name(), "error": str(exc)})
                 continue
         graph = graphs[spec.graph]
-        budgets = list(spec.budgets) if spec.budgets != "grid" else default_budgets(graph.n)
+        if spec.budgets != "grid":
+            budgets = list(spec.budgets)
+        elif graph.n < 20:
+            raise ValueError(
+                f'instances[{i}] ({spec.resolved_name()}): "budgets": "grid" needs n >= 20 '
+                f"for a positive n // 20 budget, but the graph has n = {graph.n}; list the budgets instead"
+            )
+        else:
+            budgets = default_budgets(graph.n)
         for surrogate in spec.surrogates:
             for budget in budgets:
                 for t_max in cfg.t_max:
@@ -314,11 +344,10 @@ def run_experiment(
     ending in ``failed`` when the run records an error.
     """
     cfg.validate()
+    cells, errors = expand_cells(cfg)
     out = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
     runs_dir = out / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)
-
-    cells, errors = expand_cells(cfg)
     result_set = ResultSet(errors=errors, algorithm_labels=[a.resolved_label() for a in cfg.algorithms])
 
     records: dict[tuple[int, int], dict] = {}

@@ -18,6 +18,7 @@ from ccsubmod import (
 )
 from ccsubmod.algorithms import (
     Individual,
+    _index_draw,
     _sliding_select,
     _tournament,
     crowding_distance,
@@ -61,36 +62,36 @@ class TestSlidingSelection:
 
     def test_t_zero_selects_empty_set_individual(self):
         archive = self.build_archive([(0, 0), (3, 1.9), (5, 2.9)])
-        chosen, in_window, occ = _sliding_select(archive, 0, 100, 10.0, make_rng(0))
+        chosen, in_window, occ = _sliding_select(archive, 0, 100, 10.0, _index_draw(make_rng(0)))
         assert (chosen.g1, chosen.g2) == (0.0, 0.0)
         assert in_window and occ == 1
 
     def test_final_window_is_budget_for_integer_budget(self):
         archive = self.build_archive([(0, 0), (4, 20.0), (9, 43.0)])
-        chosen, in_window, occ = _sliding_select(archive, 100, 100, 43.0, make_rng(0))
+        chosen, in_window, occ = _sliding_select(archive, 100, 100, 43.0, _index_draw(make_rng(0)))
         assert chosen.g2 == 43.0
         assert in_window and occ == 1
 
     def test_empty_window_falls_back_to_best_below(self):
         # c = 5.4 -> window [5, 6] empty; candidates below are both members
         archive = self.build_archive([(0, 0), (7, 2.3)])
-        chosen, in_window, occ = _sliding_select(archive, 54, 100, 10.0, make_rng(0))
+        chosen, in_window, occ = _sliding_select(archive, 54, 100, 10.0, _index_draw(make_rng(0)))
         assert chosen.g1 == 7.0
         assert not in_window and occ == 0
 
     def test_fallback_prefers_largest_coverage(self):
         archive = self.build_archive([(0, 0), (2, 1.0), (6, 3.0), (9, 8.5)])
         # c = 5.0 -> window [5, 5] empty; best below floor(c) has g1 = 6
-        chosen, in_window, occ = _sliding_select(archive, 50, 100, 10.0, make_rng(0))
+        chosen, in_window, occ = _sliding_select(archive, 50, 100, 10.0, _index_draw(make_rng(0)))
         assert chosen.g1 == 6.0
         assert not in_window and occ == 0
 
     def test_past_budget_selects_uniformly(self):
         archive = self.build_archive([(0, 0), (3, 1.9), (5, 2.9)])
-        rng = make_rng(1)
+        draw = _index_draw(make_rng(1))
         seen = set()
         for _ in range(100):
-            chosen, in_window, occ = _sliding_select(archive, 101, 100, 10.0, rng)
+            chosen, in_window, occ = _sliding_select(archive, 101, 100, 10.0, draw)
             assert not in_window and occ == 0
             seen.add(chosen.g2)
         assert len(seen) == 3
@@ -98,10 +99,10 @@ class TestSlidingSelection:
     def test_window_membership_for_uniform_choice(self):
         # c = 4.5 -> window [4, 5] holds the members at g2 = 4.6 and 5.0
         archive = self.build_archive([(0, 0), (2, 4.6), (3, 5.0), (9, 9.0)])
-        rng = make_rng(2)
+        draw = _index_draw(make_rng(2))
         seen = set()
         for _ in range(50):
-            chosen, in_window, occ = _sliding_select(archive, 45, 100, 10.0, rng)
+            chosen, in_window, occ = _sliding_select(archive, 45, 100, 10.0, draw)
             assert in_window and occ == 2
             assert 4 <= chosen.g2 <= 5
             seen.add(chosen.g2)

@@ -251,6 +251,50 @@ class TestExperiment:
         assert f"{key!r}" in err
         assert not (tmp_path / "out11").exists()
 
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda doc: {**doc, "instances": [5]}, "instances[0] must be a JSON object, got a number"),
+            (lambda doc: {**doc, "algorithms": [5]}, "algorithms[0] must be a JSON object, got a number"),
+            (lambda doc: [doc], "the config must be a JSON object, got an array"),
+            (lambda doc: {**doc, "repetitions": "3"}, "'repetitions' in the config must be of type int, got '3'"),
+            (lambda doc: {**doc, "base_seed": "x"}, "'base_seed' in the config must be of type int, got 'x'"),
+            (lambda doc: {**doc, "instances": [{k: v for k, v in doc["instances"][0].items() if k != "graph"}]},
+             "instances[0] has no 'graph' key"),
+        ],
+        ids=["instance-not-object", "algorithm-not-object", "top-level-array", "repetitions-string",
+             "base-seed-string", "missing-graph"],
+    )
+    def test_malformed_entry_is_config_error(self, graph_file, tmp_path, edit, message):
+        doc = edit(json.loads(self.write_config(graph_file, tmp_path, "out12").read_text()))
+        p = tmp_path / "malformed.json"
+        p.write_text(json.dumps(doc))
+        code, _, err = cli("experiment", "--config", str(p), "--workers", "1")
+        assert code == 2
+        assert message in err
+        assert not (tmp_path / "out12").exists()
+
+    @pytest.mark.parametrize("n", [8, 15])
+    def test_budget_grid_on_small_graph_is_config_error(self, tmp_path, n):
+        # n // 20 is 0 below n = 20; below n = 10 n // 10 is 0 as well.
+        graph_path = tmp_path / f"tiny{n}.txt"
+        save_edge_list(random_sparse_graph(n, n, seed=n), graph_path)
+        doc = {
+            "t_max": [50],
+            "repetitions": 1,
+            "output_dir": str(tmp_path / "out"),
+            "instances": [{"graph": str(graph_path), "budgets": [3]},
+                          {"graph": str(graph_path), "budgets": "grid", "name": "grid-cells"}],
+            "algorithms": [{"algorithm": "gsemo"}],
+        }
+        p = tmp_path / "grid.json"
+        p.write_text(json.dumps(doc))
+        code, _, err = cli("experiment", "--config", str(p), "--workers", "1")
+        assert code == 2
+        assert "instances[1] (grid-cells)" in err
+        assert f"n = {n}" in err
+        assert not (tmp_path / "out").exists()
+
     def test_resume_recomputes_truncated_run_file(self, graph_file, tmp_path):
         cfg = self.write_config(graph_file, tmp_path, "out8")
         assert cli("experiment", "--config", str(cfg), "--workers", "1")[0] == 0
