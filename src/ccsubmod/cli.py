@@ -2,8 +2,9 @@
 
 Subcommands: inspect-graph, budgets, run, experiment. Machine-readable
 payloads (JSON, budget triples) go to stdout; diagnostics go to stderr. Exit
-codes: 0 success, 1 runtime error, 2 configuration error, 3 experiment with
-failed cells.
+codes: 0 success, 1 runtime error, 2 configuration error (for an experiment,
+any config fault, found before anything runs), 3 experiment with failed
+runs (a graph that fails to load, a run that raises, a dead worker).
 """
 
 from __future__ import annotations

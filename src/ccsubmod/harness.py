@@ -10,11 +10,13 @@ into place. Aggregation writes ``results.json`` plus benchmark-style
 comparison tables (``table.csv`` / ``table.md``) with Kruskal-Wallis gated,
 Bonferroni-corrected pairwise marks.
 
-Grids and :func:`run_repetitions` share one execution path: the caller
-builds the instances and run configs, each pool worker receives the
-instances once through its initializer, every run's exception (or a dead
-worker) comes back as that run's error string, and outcomes arrive in task
-order. Run files are written by the calling process as each outcome
+:func:`expand_cells` builds each grid cell's instance and seedless run
+config once, so a config fault anywhere in the grid raises ValueError naming
+its entry before anything runs or is written. Grids and
+:func:`run_repetitions` share one execution path: each pool worker receives
+the instances once through its initializer, every run's exception (or a
+dead worker) comes back as that run's error string, and outcomes arrive in
+task order. Run files are written by the calling process as each outcome
 arrives.
 """
 
@@ -28,8 +30,9 @@ from collections import deque
 from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
-from contextlib import closing
+from contextlib import closing, contextmanager
 from dataclasses import MISSING, dataclass, field, fields, replace
+from itertools import product
 from pathlib import Path
 
 import numpy as np
@@ -37,7 +40,7 @@ import numpy as np
 from .algorithms import RunConfig, RunResult, _config_echo, run
 from .chance import G2Regime
 from .graphs import Graph, load_graph
-from .problem import Instance, SurrogateKind, WeightModel, build_weights, default_budgets
+from .problem import Instance, SurrogateKind, build_weights, default_budgets
 from .stats import posthoc_marks
 
 __all__ = [
@@ -100,10 +103,24 @@ class ExperimentConfig:
     name: str = "experiment"
 
     def validate(self) -> None:
+        """Raise ValueError when the grid is empty, ``repetitions`` is below
+        1, ``base_seed`` is negative, or an entry of ``t_max`` or of an
+        instance's ``alphas``, ``budgets`` or ``surrogates`` is not a JSON
+        scalar of its type (the message names it, as ``t_max[0]``)."""
         if not self.instances or not self.algorithms or not self.t_max:
             raise ValueError("experiment grid is empty")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
+        if self.base_seed < 0:
+            # Every run's seed (base_seed, cell index, rep) must be non-negative.
+            raise ValueError("base_seed must be >= 0")
+        _check_items(self.t_max, "t_max", "the config", "int")
+        for i, spec in enumerate(self.instances):
+            where = f"instances[{i}]"
+            _check_items(spec.alphas, "alphas", where, "float")
+            _check_items(spec.surrogates, "surrogates", where, "str")
+            if spec.budgets != "grid":
+                _check_items(spec.budgets, "budgets", where, "float")
 
 
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
@@ -114,7 +131,7 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
     a required key, holds a key that is not a field of the entry (so a
     misspelt key cannot silently run its default), holds something other
     than a list under a list-valued key, or holds a scalar of the wrong
-    type.
+    type, also as a list entry (see :meth:`ExperimentConfig.validate`).
     """
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
@@ -170,6 +187,14 @@ def _check_entry(cls, entry, where: str) -> None:
             raise ValueError(f"{name!r} in {where} must be of type {f.type}, got {value!r}")
 
 
+def _check_items(values, key: str, where: str, kind: str) -> None:
+    """Raise ValueError naming the first entry of ``values`` that is not a
+    JSON scalar of type ``kind``."""
+    for j, value in enumerate(values):
+        if isinstance(value, bool) or not isinstance(value, _SCALAR_TYPES[kind]):
+            raise ValueError(f"{key}[{j}] in {where} must be of type {kind}, got {value!r}")
+
+
 def _require_list(entry: dict, key: str, where: str, *allowed: str) -> None:
     """Raise ValueError unless ``entry[key]``, when present, is a list or
     one of the ``allowed`` strings."""
@@ -189,36 +214,20 @@ def _resolve_path(p: str, base: Path) -> Path:
 
 @dataclass(frozen=True)
 class Cell:
+    """One grid cell: an instance and a seedless run config.
+
+    Repetition r runs ``replace(template, seed=(base_seed, index, r))``.
+    ``row_key`` is ``(instance name, weights, surrogate, B, t_max, alpha)``,
+    the cell's table row; ``algo_index`` and ``label`` give its column.
+    """
+
     index: int
-    instance_name: str
-    graph_path: str
-    weights: str
-    a: int
-    d: float
-    budget: float
-    alpha: float
-    surrogate: str
-    t_max: int
-    algo: AlgorithmSpec
+    cell_id: str
+    row_key: tuple
     algo_index: int
-    graph: Graph = field(compare=False, repr=False)
-
-    def cell_id(self) -> str:
-        return (
-            f"{self.instance_name}_{self.weights}_{self.surrogate}"
-            f"_B{self.budget:g}_t{self.t_max}_a{self.alpha:g}"
-            f"_{self.algo.resolved_label()}"
-        )
-
-    def row_key(self) -> tuple:
-        return (
-            self.instance_name,
-            self.weights,
-            self.surrogate,
-            self.budget,
-            self.t_max,
-            self.alpha,
-        )
+    label: str
+    instance: Instance = field(repr=False)
+    template: RunConfig
 
 
 @dataclass
@@ -233,97 +242,86 @@ class ResultSet:
         return not self.errors
 
 
-def _build_instance(cell: Cell, weight_models: dict[tuple, WeightModel]) -> Instance:
-    """The cell's instance; cells that share a (graph, weights, a, d) share
-    one weight model."""
-    key = (cell.graph_path, cell.weights, cell.a, cell.d)
-    weights = weight_models.get(key)
-    if weights is None:
-        weights = weight_models[key] = build_weights(cell.graph, cell.weights, a=cell.a, d=cell.d)
-    return Instance(
-        graph=cell.graph,
-        weights=weights,
-        budget=cell.budget,
-        alpha=cell.alpha,
-        surrogate=SurrogateKind.parse(cell.surrogate),
-        name=cell.instance_name,
-    )
-
-
-def _run_config(cell: Cell, seed: tuple[int, ...]) -> RunConfig:
-    return RunConfig(
-        algorithm=cell.algo.algorithm,
-        t_max=cell.t_max,
-        seed=seed,
-        regime=G2Regime.parse(cell.algo.regime),
-        population=cell.algo.population,
-        children=cell.algo.children,
-    )
+@contextmanager
+def _entry(where: str) -> Iterator[None]:
+    """Re-raise a ValueError from the block with ``where`` in front."""
+    try:
+        yield
+    except ValueError as exc:
+        raise ValueError(f"{where}: {exc}") from exc
 
 
 def expand_cells(cfg: ExperimentConfig) -> tuple[list[Cell], list[dict]]:
-    """Expansion order fixes each cell's index, which seeds its repetitions.
+    """Build every cell's instance and run config; expansion order fixes
+    each cell's index, which seeds its repetitions.
 
-    Each graph path is loaded once, and its cells share the graph. Raises
-    ValueError when two cells share a ``cell_id``, which names their
-    run files: the id leaves out the regime, ``a``, ``d`` and the graph path,
-    so such cells need distinct algorithm labels or instance names. Also
-    raises ValueError when ``"budgets": "grid"`` meets a graph of fewer than
-    20 nodes, whose ``n // 20`` budget would be 0.
+    The config is validated first. Each graph path is loaded once and each
+    instance spec builds one weight model. A graph that fails to load is an
+    entry of the returned error list. Any other fault raises ValueError
+    naming ``algorithms[j]``, ``t_max[k]`` or ``instances[i] (<name>)``,
+    including ``"budgets": "grid"`` on a graph of fewer than 20 nodes, whose
+    ``n // 20`` budget would be 0. Two cells that share a ``cell_id``, which
+    names their run files, raise too: the id leaves out the regime, ``a``,
+    ``d`` and the graph path, so such cells need distinct algorithm labels
+    or instance names.
     """
+    cfg.validate()
+    columns: list[RunConfig] = []
+    for j, algo in enumerate(cfg.algorithms):
+        with _entry(f"algorithms[{j}]"):
+            regime = G2Regime.parse(algo.regime)
+            columns.append(
+                RunConfig(algo.algorithm, 0, regime=regime, population=algo.population, children=algo.children)
+            )
+    templates: list[list[RunConfig]] = []  # templates[k][j]: t_max[k], algorithms[j]
+    for k, t_max in enumerate(cfg.t_max):
+        with _entry(f"t_max[{k}]"):
+            templates.append([replace(column, t_max=t_max) for column in columns])
+    labels = [algo.resolved_label() for algo in cfg.algorithms]
+
     cells: list[Cell] = []
     errors: list[dict] = []
     graphs: dict[str, Graph] = {}
-    index = 0
     for i, spec in enumerate(cfg.instances):
+        name = spec.resolved_name()
         if spec.graph not in graphs:
             try:
                 graphs[spec.graph] = load_graph(spec.graph)
             except Exception as exc:
-                errors.append({"instance": spec.resolved_name(), "error": str(exc)})
+                errors.append({"instance": name, "error": str(exc)})
                 continue
         graph = graphs[spec.graph]
-        if spec.budgets != "grid":
-            budgets = list(spec.budgets)
-        elif graph.n < 20:
-            raise ValueError(
-                f'instances[{i}] ({spec.resolved_name()}): "budgets": "grid" needs n >= 20 '
-                f"for a positive n // 20 budget, but the graph has n = {graph.n}; list the budgets instead"
-            )
-        else:
-            budgets = default_budgets(graph.n)
-        for surrogate in spec.surrogates:
-            for budget in budgets:
-                for t_max in cfg.t_max:
-                    for alpha in spec.alphas:
-                        for algo_index, algo in enumerate(cfg.algorithms):
-                            cells.append(
-                                Cell(
-                                    index=index,
-                                    instance_name=spec.resolved_name(),
-                                    graph_path=spec.graph,
-                                    weights=spec.weights,
-                                    a=spec.a,
-                                    d=spec.d,
-                                    budget=float(budget),
-                                    alpha=float(alpha),
-                                    surrogate=SurrogateKind.parse(surrogate).value,
-                                    t_max=int(t_max),
-                                    algo=algo,
-                                    algo_index=algo_index,
-                                    graph=graph,
-                                )
-                            )
-                            index += 1
+        with _entry(f"instances[{i}] ({name})"):
+            weights = build_weights(graph, spec.weights, a=spec.a, d=spec.d)
+            if spec.budgets != "grid":
+                budgets = spec.budgets
+            elif graph.n < 20:
+                raise ValueError(
+                    f'"budgets": "grid" needs n >= 20 for a positive n // 20 budget, '
+                    f"but the graph has n = {graph.n}; list the budgets instead"
+                )
+            else:
+                budgets = default_budgets(graph.n)
+            surrogates = [SurrogateKind.parse(s) for s in spec.surrogates]
+            for surrogate, budget, (t_max, row), alpha in product(
+                surrogates, budgets, zip(cfg.t_max, templates), spec.alphas
+            ):
+                instance = Instance(graph, weights, float(budget), float(alpha), surrogate, name)
+                row_key = (name, spec.weights, surrogate.value, instance.budget, t_max, instance.alpha)
+                for j, template in enumerate(row):
+                    cell_id = (
+                        f"{name}_{spec.weights}_{surrogate.value}_B{instance.budget:g}"
+                        f"_t{t_max}_a{instance.alpha:g}_{labels[j]}"
+                    )
+                    cells.append(Cell(len(cells), cell_id, row_key, j, labels[j], instance, template))
     seen: set[str] = set()
     for cell in cells:
-        cell_id = cell.cell_id()
-        if cell_id in seen:
+        if cell.cell_id in seen:
             raise ValueError(
-                f"two grid cells share the id {cell_id!r}; give their algorithms "
+                f"two grid cells share the id {cell.cell_id!r}; give their algorithms "
                 "distinct labels or their instances distinct names"
             )
-        seen.add(cell_id)
+        seen.add(cell.cell_id)
     return cells, errors
 
 
@@ -335,15 +333,17 @@ def run_experiment(
 ) -> ResultSet:
     """Execute every (cell, repetition) of the grid and aggregate results.
 
-    With ``resume`` set, a stored run file is reused when it parses and its
-    config echo equals that of the run it stands for (seed, regime, ``a``,
-    ``d``, ``n``, population and children included); any other stored file
-    is recomputed and overwritten, with a line on stderr. Failures are
-    collected per run and never abort the rest of the grid. Each run not
-    taken from a stored file writes one progress line ``[i/N]`` to stderr,
-    ending in ``failed`` when the run records an error.
+    A config fault (see :func:`expand_cells`) raises ValueError naming the
+    entry before the output directory is created. With ``resume`` set, a
+    stored run file is reused when it parses and its config echo equals
+    that of the run it stands for (seed, regime, ``a``, ``d``, ``n``,
+    population and children included); any other stored file is recomputed
+    and overwritten, with a line on stderr. A graph that fails to load, a
+    run that raises and a dead worker are recorded in ``errors`` and never
+    abort the rest of the grid. Each run not taken from a stored file writes
+    one progress line ``[i/N]`` to stderr, ending in ``failed`` when the run
+    records an error.
     """
-    cfg.validate()
     cells, errors = expand_cells(cfg)
     out = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
     runs_dir = out / "runs"
@@ -351,46 +351,35 @@ def run_experiment(
     result_set = ResultSet(errors=errors, algorithm_labels=[a.resolved_label() for a in cfg.algorithms])
 
     records: dict[tuple[int, int], dict] = {}
-    weight_models: dict[tuple, WeightModel] = {}
-    instances: list[Instance] = []
+    # Cells that differ only in algorithm share an instance; workers get each once.
+    instances = list({id(cell.instance): cell.instance for cell in cells}.values())
+    slots = {id(instance): k for k, instance in enumerate(instances)}
     tasks: list[tuple[int, RunConfig]] = []
-    # Runs to compute, in grid order, each with the error that kept its cell
-    # from being built (None when it was built).
-    pending: list[tuple[Cell, int, str | None]] = []
+    pending: list[tuple[Cell, int]] = []  # the (cell, rep) of each task
     for cell in cells:
-        try:
-            instance = _build_instance(cell, weight_models)
-            run_cfgs = [_run_config(cell, (cfg.base_seed, cell.index, rep)) for rep in range(cfg.repetitions)]
-        except Exception as exc:
-            pending += [(cell, rep, _error_text(exc)) for rep in range(cfg.repetitions)]
-            continue
-        reps = []
-        for rep, run_cfg in enumerate(run_cfgs):
-            run_file = runs_dir / f"{cell.cell_id()}__rep{rep}.json"
+        for rep in range(cfg.repetitions):
+            run_cfg = replace(cell.template, seed=(cfg.base_seed, cell.index, rep))
+            run_file = runs_dir / f"{cell.cell_id}__rep{rep}.json"
             if resume and run_file.exists():
-                record = _stored_record(run_file, _config_echo(instance, run_cfg))
+                record = _stored_record(run_file, _config_echo(cell.instance, run_cfg))
                 if record is not None:
                     records[(cell.index, rep)] = record
                     continue
-            reps.append(rep)
-        if reps:
-            instances.append(instance)
-            tasks += [(len(instances) - 1, run_cfgs[rep]) for rep in reps]
-            pending += [(cell, rep, None) for rep in reps]
+            tasks.append((slots[id(cell.instance)], run_cfg))
+            pending.append((cell, rep))
 
     with closing(_run_tasks(instances, tasks, workers)) as outcomes:
-        for done, (cell, rep, error) in enumerate(pending, start=1):
-            outcome = error if error is not None else next(outcomes)
-            progress = f"[{done}/{len(pending)}] {cell.cell_id()} rep {rep}"
+        for done, ((cell, rep), outcome) in enumerate(zip(pending, outcomes), start=1):
+            progress = f"[{done}/{len(pending)}] {cell.cell_id} rep {rep}"
             if isinstance(outcome, str):
-                result_set.errors.append({"cell_id": cell.cell_id(), "repetition": rep, "error": outcome})
+                result_set.errors.append({"cell_id": cell.cell_id, "repetition": rep, "error": outcome})
                 print(f"{progress} failed", file=sys.stderr)
                 continue
             record = outcome.to_json_dict()
-            record["cell_id"] = cell.cell_id()
+            record["cell_id"] = cell.cell_id
             record["repetition"] = rep
             records[(cell.index, rep)] = record
-            _write_json(runs_dir / f"{cell.cell_id()}__rep{rep}.json", record)
+            _write_json(runs_dir / f"{cell.cell_id}__rep{rep}.json", record)
             result_set.executed_runs += 1
             print(progress, file=sys.stderr)
 
@@ -398,16 +387,11 @@ def run_experiment(
         stored = [records[(cell.index, r)] for r in range(cfg.repetitions) if (cell.index, r) in records]
         best = [record["best_g1"] for record in stored]
         entry = {
-            "cell_id": cell.cell_id(),
-            "instance": cell.instance_name,
-            "weights": cell.weights,
-            "surrogate": cell.surrogate,
-            "B": cell.budget,
-            "t_max": cell.t_max,
-            "alpha": cell.alpha,
-            "algorithm": cell.algo.resolved_label(),
+            **dict(zip(("instance", "weights", "surrogate", "B", "t_max", "alpha"), cell.row_key)),
+            "cell_id": cell.cell_id,
+            "algorithm": cell.label,
             "algo_index": cell.algo_index,
-            "row_key": list(cell.row_key()),
+            "row_key": list(cell.row_key),
             "best_g1": best,
             "mean": float(np.mean(best)) if best else None,
             "std": float(np.std(best)) if best else None,

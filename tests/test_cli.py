@@ -210,21 +210,43 @@ class TestExperiment:
         assert code == 3
         assert "missing.txt" in err
 
-    def test_unbuildable_cell_exit_code(self, graph_file, tmp_path):
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            ({"budgets": [0]}, "instances[0] (synth40): budget B must be positive"),
+            ({"alphas": [1.5]}, "instances[0] (synth40): alpha must lie in (0, 1)"),
+            ({"alphas": ["x"]}, "alphas[0] in instances[0] must be of type float, got 'x'"),
+            ({"t_max": [1.5]}, "t_max[0] in the config must be of type int, got 1.5"),
+            ({"t_max": [True]}, "t_max[0] in the config must be of type int, got True"),
+            ({"t_max": [-1]}, "t_max[0]: t_max must be non-negative"),
+            ({"base_seed": -1}, "base_seed must be >= 0"),
+            ({"weights": "bogus"}, "instances[0] (synth40): unknown weight kind 'bogus'"),
+            ({"a": 1, "d": 5}, "instances[0] (synth40): dispersion d=5.0 outside (0, 1]"),
+            ({"surrogates": ["bogus"]}, "instances[0] (synth40): unknown surrogate kind 'bogus'"),
+            ({"algorithm": "bogus"}, "algorithms[2]: unknown algorithm 'bogus'"),
+            ({"algorithm": "sw-gsemo", "regime": "bogus"}, "algorithms[2]: unknown g2 regime 'bogus'"),
+            ({"algorithm": "nsga2", "population": 5, "children": 10},
+             "algorithms[2]: children must not exceed population size"),
+        ],
+        ids=["budgets-0", "alphas-1.5", "alphas-string", "t_max-float", "t_max-bool", "t_max-negative",
+             "base_seed-negative", "weights", "d", "surrogates", "algorithm", "regime", "nsga2-children"],
+    )
+    def test_config_fault_is_config_error(self, graph_file, tmp_path, edit, message):
+        # Faults found while building the grid's cells exit 2 as well, before
+        # any run starts or the output directory is made.
         doc = json.loads(self.write_config(graph_file, tmp_path, "out5").read_text())
-        doc["algorithms"].append({"algorithm": "nsga2", "population": 5, "children": 10})
-        p = tmp_path / "unbuildable.json"
+        if "algorithm" in edit:
+            doc["algorithms"].append(edit)
+        elif set(edit) <= {"t_max", "base_seed"}:
+            doc.update(edit)
+        else:
+            doc["instances"][0].update(edit)
+        p = tmp_path / "fault.json"
         p.write_text(json.dumps(doc))
         code, _, err = cli("experiment", "--config", str(p), "--workers", "2")
-        assert code == 3
-        assert "children must not exceed population size" in err
-        results = json.loads((tmp_path / "out5" / "results.json").read_text())
-        assert [len(c["best_g1"]) for c in results["cells"]] == [2, 2, 0]
-        assert [e["repetition"] for e in results["errors"]] == [0, 1]
-        progress = [line.split("] ", 1) for line in err.splitlines() if line.startswith("[")]
-        assert [count for count, _ in progress] == [f"[{i}/6" for i in range(1, 7)]
-        failed = [run for _, run in progress if run.endswith(" failed")]
-        assert failed == [f"{results['errors'][0]['cell_id']} rep {rep} failed" for rep in (0, 1)]
+        assert code == 2
+        assert message in err
+        assert not (tmp_path / "out5").exists()
 
     def test_unknown_config_key_is_config_error(self, graph_file, tmp_path):
         doc = json.loads(self.write_config(graph_file, tmp_path, "out7").read_text())
