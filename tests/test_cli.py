@@ -210,6 +210,19 @@ class TestExperiment:
         assert code == 3
         assert "missing.txt" in err
 
+    def test_unbuildable_cell_exit_code(self, graph_file, tmp_path):
+        # A cell whose algorithm cannot be built is a config fault: exit 2
+        # before any run starts, with no progress line and no output.
+        doc = json.loads(self.write_config(graph_file, tmp_path, "out5").read_text())
+        doc["algorithms"].append({"algorithm": "nsga2", "population": 5, "children": 10})
+        p = tmp_path / "unbuildable.json"
+        p.write_text(json.dumps(doc))
+        code, _, err = cli("experiment", "--config", str(p), "--workers", "2")
+        assert code == 2
+        assert "algorithms[2]: children must not exceed population size" in err
+        assert not [line for line in err.splitlines() if line.startswith("[")]
+        assert not (tmp_path / "out5").exists()
+
     @pytest.mark.parametrize(
         "edit, message",
         [
@@ -225,11 +238,9 @@ class TestExperiment:
             ({"surrogates": ["bogus"]}, "instances[0] (synth40): unknown surrogate kind 'bogus'"),
             ({"algorithm": "bogus"}, "algorithms[2]: unknown algorithm 'bogus'"),
             ({"algorithm": "sw-gsemo", "regime": "bogus"}, "algorithms[2]: unknown g2 regime 'bogus'"),
-            ({"algorithm": "nsga2", "population": 5, "children": 10},
-             "algorithms[2]: children must not exceed population size"),
         ],
         ids=["budgets-0", "alphas-1.5", "alphas-string", "t_max-float", "t_max-bool", "t_max-negative",
-             "base_seed-negative", "weights", "d", "surrogates", "algorithm", "regime", "nsga2-children"],
+             "base_seed-negative", "weights", "d", "surrogates", "algorithm", "regime"],
     )
     def test_config_fault_is_config_error(self, graph_file, tmp_path, edit, message):
         # Faults found while building the grid's cells exit 2 as well, before

@@ -204,6 +204,30 @@ class TestRunExperiment:
         for name in ("results.json", "table.csv"):
             assert (tmp_path / "s" / name).read_bytes() == (tmp_path / "p" / name).read_bytes()
 
+    @pytest.mark.parametrize("workers", [1, 2])
+    @pytest.mark.parametrize(
+        "alphas,algorithms,error",
+        [
+            ((0.1, 1.5), [AlgorithmSpec("gsemo")], "instances[0] (synth30): alpha must lie in (0, 1)"),
+            (
+                (0.1,),
+                [AlgorithmSpec("gsemo"), AlgorithmSpec("nsga2", population=5, children=10)],
+                "algorithms[1]: children must not exceed population size",
+            ),
+        ],
+        ids=["alpha", "nsga2-children"],
+    )
+    def test_unbuildable_cell_fails_per_repetition(self, graph_file, tmp_path, workers, alphas, algorithms, error):
+        # One unbuildable cell fails the whole grid at expansion: no repetition
+        # of any cell runs and the output directory is never made.
+        out = tmp_path / "out"
+        cfg = small_config(graph_file, out, algorithms=algorithms)
+        cfg.instances = [replace(cfg.instances[0], alphas=alphas)]
+        with pytest.raises(ValueError) as excinfo:
+            run_experiment(cfg, workers=workers)
+        assert str(excinfo.value) == error
+        assert not out.exists()
+
     def test_config_file_loading(self, graph_file, tmp_path):
         doc = {
             "name": "from-file",
