@@ -18,7 +18,9 @@ Three algorithms share the bi-objective fitness from :mod:`ccsubmod.chance`:
 
 All runs start from the empty selection, are deterministic given their seed,
 and spend exactly one fitness evaluation per offspring (plus one for the
-initial individual).
+initial individual). :func:`run` sets each run up and builds every
+:class:`RunResult`; a traced archive-based run adds one :data:`TRACE_DTYPE`
+record per iteration.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ import math
 import time
 from bisect import bisect_left, bisect_right
 from collections.abc import Callable
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -39,7 +41,7 @@ __all__ = [
     "ParetoArchive",
     "RunConfig",
     "RunResult",
-    "Trace",
+    "TRACE_DTYPE",
     "make_rng",
     "run",
 ]
@@ -112,15 +114,6 @@ class Individual:
     g1: float
     g2: float
 
-    @property
-    def obj(self) -> Objectives:
-        return Objectives(self.g1, self.g2)
-
-
-def _bits_hex(bits: np.ndarray) -> str:
-    """A 0/1 vector packed big-endian, as hex (ceil(n/8) bytes)."""
-    return np.packbits(bits).tobytes().hex()
-
 
 class ParetoArchive:
     """Mutually non-dominated individuals, sorted by g2.
@@ -131,23 +124,16 @@ class ParetoArchive:
     exact duplicate objective pair replaces the older member.
     """
 
-    __slots__ = ("_g2", "_members", "peak_size")
+    __slots__ = ("_g2", "members", "peak_size")
 
     def __init__(self) -> None:
         self._g2: list[float] = []
-        self._members: list[Individual] = []
+        # Members in g2-ascending order (read-only by convention).
+        self.members: list[Individual] = []
         self.peak_size = 0
 
     def __len__(self) -> int:
-        return len(self._members)
-
-    @property
-    def members(self) -> list[Individual]:
-        """Members in g2-ascending order (read-only by convention)."""
-        return self._members
-
-    def objective_pairs(self) -> list[Objectives]:
-        return [m.obj for m in self._members]
+        return len(self.members)
 
     def insert(self, ind: Individual) -> bool:
         """Insert unless strictly dominated; drop weakly dominated members.
@@ -157,7 +143,7 @@ class ParetoArchive:
         g2s = self._g2
         i = bisect_right(g2s, ind.g2) - 1
         if i >= 0:
-            m = self._members[i]
+            m = self.members[i]
             # The staircase makes m the best potential dominator: it has the
             # largest g1 among members with g2 <= ind.g2.
             if m.g1 >= ind.g1 and (m.g2 < ind.g2 or m.g1 > ind.g1):
@@ -165,13 +151,13 @@ class ParetoArchive:
         j = bisect_left(g2s, ind.g2)
         j2 = j
         nmem = len(g2s)
-        while j2 < nmem and self._members[j2].g1 <= ind.g1:
+        while j2 < nmem and self.members[j2].g1 <= ind.g1:
             j2 += 1
         if j2 > j:
             del g2s[j:j2]
-            del self._members[j:j2]
+            del self.members[j:j2]
         g2s.insert(j, ind.g2)
-        self._members.insert(j, ind)
+        self.members.insert(j, ind)
         if len(g2s) > self.peak_size:
             self.peak_size = len(g2s)
         return True
@@ -180,7 +166,7 @@ class ParetoArchive:
         """A member drawn uniformly by ``draw`` (see :func:`_index_draw`):
         the one ``rng.integers(len(self))`` would pick, taken from PCG64's
         ``next_uint32`` without going through ``Generator.integers``."""
-        return self._members[draw(len(self._members))]
+        return self.members[draw(len(self.members))]
 
     def index_range(self, lo: float, hi: float) -> tuple[int, int]:
         """Indices ``[start, stop)`` of the members with lo <= g2 <= hi."""
@@ -326,40 +312,17 @@ class RunConfig:
         return (self.seed,) if isinstance(self.seed, int) else tuple(self.seed)
 
 
-@dataclass
-class Trace:
-    """Per-iteration record of an archive-based run (index i is iteration i+1)."""
-
-    parent_g2: np.ndarray
-    g1: np.ndarray
-    g2: np.ndarray
-    accepted: np.ndarray
-    in_window: np.ndarray
-    window_count: np.ndarray
-
-    @classmethod
-    def zeros(cls, t_max: int) -> "Trace":
-        """A record of t_max iterations, each filled in by :meth:`record`."""
-        return cls(
-            parent_g2=np.zeros(t_max),
-            g1=np.zeros(t_max),
-            g2=np.zeros(t_max),
-            accepted=np.zeros(t_max, dtype=bool),
-            in_window=np.zeros(t_max, dtype=bool),
-            window_count=np.zeros(t_max, dtype=np.uint32),
-        )
-
-    def __len__(self) -> int:
-        return len(self.g1)
-
-    def record(self, t, parent_g2, g1, g2, accepted, in_window, occ) -> None:
-        i = t - 1
-        self.parent_g2[i] = parent_g2
-        self.g1[i] = g1
-        self.g2[i] = g2
-        self.accepted[i] = accepted
-        self.in_window[i] = in_window
-        self.window_count[i] = occ
+# One record per iteration of a traced archive-based run (row i is iteration
+# i + 1): the parent's g2, the offspring's objectives, whether the archive
+# took it, and whether the parent came from a window of how many members.
+TRACE_DTYPE = np.dtype([
+    ("parent_g2", np.float64),
+    ("g1", np.float64),
+    ("g2", np.float64),
+    ("accepted", np.bool_),
+    ("in_window", np.bool_),
+    ("window_count", np.uint32),
+])
 
 
 @dataclass
@@ -374,8 +337,8 @@ class RunResult:
     evaluations: int
     wall_time_s: float
     config: dict
-    final_objectives: list[Objectives] = field(default_factory=list)
-    trace: Trace | None = None
+    final_objectives: list[Objectives]
+    trace: np.recarray | None
 
     def to_json_dict(self) -> dict:
         return {
@@ -415,11 +378,11 @@ def _config_echo(instance: Instance, cfg: RunConfig) -> dict:
 # GSEMO and SW-GSEMO
 # ---------------------------------------------------------------------------
 
-def _run_archive_loop(instance: Instance, cfg: RunConfig, sliding: bool) -> RunResult:
-    start = time.perf_counter()
-    rng = make_rng(*cfg.seed_tuple())
-    draw = _index_draw(rng)
-    evaluator = Evaluator(instance, cfg.regime)
+def _run_archive_loop(
+    instance: Instance, cfg: RunConfig, evaluator: Evaluator, rng: np.random.Generator, draw: Callable[[int], int]
+) -> tuple:
+    """GSEMO, with sliding-window parent selection for ``sw-gsemo``."""
+    sliding = cfg.algorithm == "sw-gsemo"
     n = instance.graph.n
     expected_arr = instance.weights.expected
     budget = instance.budget
@@ -431,7 +394,7 @@ def _run_archive_loop(instance: Instance, cfg: RunConfig, sliding: bool) -> RunR
     archive = ParetoArchive()
     archive.insert(root)
     best = root
-    trace = Trace.zeros(t_max) if cfg.trace else None
+    trace = np.zeros(t_max, TRACE_DTYPE).view(np.recarray) if cfg.trace else None
 
     for t in range(1, t_max + 1):
         if sliding:
@@ -450,20 +413,10 @@ def _run_archive_loop(instance: Instance, cfg: RunConfig, sliding: bool) -> RunR
         if child.g1 > best.g1:
             best = child
         if trace is not None:
-            trace.record(t, parent.g2, child.g1, child.g2, accepted, in_window, occ)
+            trace[t - 1] = (parent.g2, child.g1, child.g2, accepted, in_window, occ)
 
-    return RunResult(
-        algorithm=cfg.algorithm,
-        best_g1=best.g1,
-        best_bits_hex=_bits_hex(best.state >> 1),
-        archive_size=len(archive),
-        peak_archive_size=archive.peak_size,
-        evaluations=evaluator.evaluations,
-        wall_time_s=time.perf_counter() - start,
-        config=_config_echo(instance, cfg),
-        final_objectives=archive.objective_pairs(),
-        trace=trace,
-    )
+    final = [Objectives(m.g1, m.g2) for m in archive.members]
+    return best.g1, best.state >> 1, len(archive), archive.peak_size, final, trace
 
 
 # ---------------------------------------------------------------------------
@@ -590,7 +543,9 @@ def _survivors(
     return np.concatenate(chosen), np.concatenate(ranks), np.concatenate(crowd)
 
 
-def _run_nsga2(instance: Instance, cfg: RunConfig) -> RunResult:
+def _run_nsga2(
+    instance: Instance, cfg: RunConfig, evaluator: Evaluator, rng: np.random.Generator, draw: Callable[[int], int]
+) -> tuple:
     """(mu + lambda) NSGA-II on (maximize coverage, minimize g2).
 
     The population starts as mu copies of the empty selection and evolves for
@@ -603,10 +558,6 @@ def _run_nsga2(instance: Instance, cfg: RunConfig) -> RunResult:
     parent, flipped where uniform crossover takes the second parent's bits
     and where mutation flips, and all children are scored in one batch.
     """
-    start = time.perf_counter()
-    rng = make_rng(*cfg.seed_tuple())
-    draw = _index_draw(rng)
-    evaluator = Evaluator(instance, cfg.regime)
     n = instance.graph.n
     mu, lam = cfg.population, cfg.children
 
@@ -664,23 +615,36 @@ def _run_nsga2(instance: Instance, cfg: RunConfig) -> RunResult:
     front0 = np.flatnonzero(rank == 0)
     best_bits = np.zeros(n, dtype=np.uint8)
     best_bits[best] = 1
-
-    return RunResult(
-        algorithm="nsga2",
-        best_g1=best_g1,
-        best_bits_hex=_bits_hex(best_bits),
-        archive_size=_distinct_points(pop_g1, front0),
-        peak_archive_size=peak_tradeoffs,
-        evaluations=evaluator.evaluations,
-        wall_time_s=time.perf_counter() - start,
-        config=_config_echo(instance, cfg),
-        final_objectives=[Objectives(float(pop_g1[i]), float(pop_g2[i])) for i in front0],
-    )
+    final = [Objectives(float(pop_g1[i]), float(pop_g2[i])) for i in front0]
+    return best_g1, best_bits, _distinct_points(pop_g1, front0), peak_tradeoffs, final, None
 
 
 def run(instance: Instance, cfg: RunConfig) -> RunResult:
-    """Run the configured algorithm: NSGA-II, or the archive loop with
-    uniform (``gsemo``) or sliding-window (``sw-gsemo``) parent selection."""
-    if cfg.algorithm == "nsga2":
-        return _run_nsga2(instance, cfg)
-    return _run_archive_loop(instance, cfg, sliding=cfg.algorithm == "sw-gsemo")
+    """Run the configured algorithm and build its :class:`RunResult`.
+
+    This is the one place a result is put together. It starts the clock and
+    makes the seeded generator, its index draw and the evaluator, then hands
+    them to NSGA-II or to the archive loop, which selects parents uniformly
+    (``gsemo``) or from the sliding window (``sw-gsemo``). A loop returns
+    only what differs between them: the best g1 and its 0/1 selection, the
+    final and peak archive (or first-front) size, the final objectives and
+    the trace.
+    """
+    start = time.perf_counter()
+    rng = make_rng(*cfg.seed_tuple())
+    draw = _index_draw(rng)
+    evaluator = Evaluator(instance, cfg.regime)
+    loop = _run_nsga2 if cfg.algorithm == "nsga2" else _run_archive_loop
+    best_g1, best_bits, size, peak, final, trace = loop(instance, cfg, evaluator, rng, draw)
+    return RunResult(
+        algorithm=cfg.algorithm,
+        best_g1=best_g1,
+        best_bits_hex=np.packbits(best_bits).tobytes().hex(),  # big-endian, ceil(n/8) bytes
+        archive_size=size,
+        peak_archive_size=peak,
+        evaluations=evaluator.evaluations,
+        wall_time_s=time.perf_counter() - start,
+        config=_config_echo(instance, cfg),
+        final_objectives=final,
+        trace=trace,
+    )

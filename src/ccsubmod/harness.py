@@ -104,9 +104,10 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         """Raise ValueError when the grid is empty, ``repetitions`` is below
-        1, ``base_seed`` is negative, or an entry of ``t_max`` or of an
-        instance's ``alphas``, ``budgets`` or ``surrogates`` is not a JSON
-        scalar of its type (the message names it, as ``t_max[0]``)."""
+        1, ``base_seed`` is negative, an instance's ``alphas``, ``budgets``
+        or ``surrogates`` list is empty (named as ``'alphas' in
+        instances[0]``), or an entry of such a list or of ``t_max`` is not a
+        JSON scalar of its type (named as ``t_max[0]``)."""
         if not self.instances or not self.algorithms or not self.t_max:
             raise ValueError("experiment grid is empty")
         if self.repetitions < 1:
@@ -149,7 +150,7 @@ def load_experiment_config(path: str | Path) -> ExperimentConfig:
         # The spec is frozen, so its list values (budgets, alphas,
         # surrogates) become tuples.
         lists = {k: tuple(v) for k, v in entry.items() if isinstance(v, list)}
-        graph = str(_resolve_path(entry["graph"], path.parent))
+        graph = str(path.parent / entry["graph"])  # an absolute path stays as it is
         instances.append(InstanceSpec(**{**entry, **lists, "graph": graph}))
     algorithms = []
     for i, entry in enumerate(doc["algorithms"]):
@@ -188,8 +189,10 @@ def _check_entry(cls, entry, where: str) -> None:
 
 
 def _check_items(values, key: str, where: str, kind: str) -> None:
-    """Raise ValueError naming the first entry of ``values`` that is not a
-    JSON scalar of type ``kind``."""
+    """Raise ValueError when ``values`` is empty, or naming its first entry
+    that is not a JSON scalar of type ``kind``."""
+    if not values:
+        raise ValueError(f"{key!r} in {where} must not be empty")
     for j, value in enumerate(values):
         if isinstance(value, bool) or not isinstance(value, _SCALAR_TYPES[kind]):
             raise ValueError(f"{key}[{j}] in {where} must be of type {kind}, got {value!r}")
@@ -203,9 +206,12 @@ def _require_list(entry: dict, key: str, where: str, *allowed: str) -> None:
         raise ValueError(f"{key!r} in {where} must be a list, got {value!r}")
 
 
-def _resolve_path(p: str, base: Path) -> Path:
-    q = Path(p)
-    return q if q.is_absolute() else base / q
+def _check_file_name(name: str, key: str) -> None:
+    """Raise ValueError when ``name``, part of every run file's name, holds
+    a path separator, which would put the file outside ``runs/``."""
+    for sep in ("/", os.sep, os.altsep):
+        if sep and sep in name:
+            raise ValueError(f"{key} {name!r} holds {sep!r}, but it names run files")
 
 
 # ---------------------------------------------------------------------------
@@ -260,15 +266,18 @@ def expand_cells(cfg: ExperimentConfig) -> tuple[list[Cell], list[dict]]:
     entry of the returned error list. Any other fault raises ValueError
     naming ``algorithms[j]``, ``t_max[k]`` or ``instances[i] (<name>)``,
     including ``"budgets": "grid"`` on a graph of fewer than 20 nodes, whose
-    ``n // 20`` budget would be 0. Two cells that share a ``cell_id``, which
-    names their run files, raise too: the id leaves out the regime, ``a``,
-    ``d`` and the graph path, so such cells need distinct algorithm labels
-    or instance names.
+    ``n // 20`` budget would be 0. A ``cell_id`` names its cell's run
+    files, so an algorithm label or instance name that holds a path
+    separator raises, and so do two cells that share an id: the id leaves
+    out the regime, ``a``, ``d`` and the graph path, so such cells need
+    distinct algorithm labels or instance names.
     """
     cfg.validate()
     columns: list[RunConfig] = []
+    labels = [algo.resolved_label() for algo in cfg.algorithms]
     for j, algo in enumerate(cfg.algorithms):
         with _entry(f"algorithms[{j}]"):
+            _check_file_name(labels[j], "label")
             regime = G2Regime.parse(algo.regime)
             columns.append(
                 RunConfig(algo.algorithm, 0, regime=regime, population=algo.population, children=algo.children)
@@ -277,21 +286,21 @@ def expand_cells(cfg: ExperimentConfig) -> tuple[list[Cell], list[dict]]:
     for k, t_max in enumerate(cfg.t_max):
         with _entry(f"t_max[{k}]"):
             templates.append([replace(column, t_max=t_max) for column in columns])
-    labels = [algo.resolved_label() for algo in cfg.algorithms]
 
     cells: list[Cell] = []
     errors: list[dict] = []
     graphs: dict[str, Graph] = {}
     for i, spec in enumerate(cfg.instances):
         name = spec.resolved_name()
-        if spec.graph not in graphs:
-            try:
-                graphs[spec.graph] = load_graph(spec.graph)
-            except Exception as exc:
-                errors.append({"instance": name, "error": str(exc)})
-                continue
-        graph = graphs[spec.graph]
         with _entry(f"instances[{i}] ({name})"):
+            _check_file_name(name, "name")
+            if spec.graph not in graphs:
+                try:
+                    graphs[spec.graph] = load_graph(spec.graph)
+                except Exception as exc:
+                    errors.append({"instance": name, "error": str(exc)})
+                    continue
+            graph = graphs[spec.graph]
             weights = build_weights(graph, spec.weights, a=spec.a, d=spec.d)
             if spec.budgets != "grid":
                 budgets = spec.budgets
@@ -609,30 +618,21 @@ def emit_table(results: ResultSet, out_dir: str | Path) -> tuple[Path, Path]:
 
 
 def emit_trace(result: RunResult, path: str | Path) -> Path:
-    """Write a run's per-iteration trace as CSV.
-
-    Columns: t, parent_g2, g1, g2, accepted, in_window, window_count. One
+    """Write a run's per-iteration trace as CSV: ``t``, then one column per
+    :data:`~ccsubmod.algorithms.TRACE_DTYPE` field, with flags as 0/1. One
     row per iteration is enough to reconstruct both the accepted-offspring
     scatter and the window occupancy over time.
     """
     trace = result.trace
     if trace is None:
         raise ValueError("run has no trace; enable trace in the run config")
+    dtype = trace.dtype
+    flags_as_ints = trace.astype([(name, np.uint8 if dtype[name] == bool else dtype[name]) for name in dtype.names])
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["t", "parent_g2", "g1", "g2", "accepted", "in_window", "window_count"])
-        for i in range(len(trace)):
-            writer.writerow(
-                [
-                    i + 1,
-                    repr(float(trace.parent_g2[i])),
-                    repr(float(trace.g1[i])),
-                    repr(float(trace.g2[i])),
-                    int(trace.accepted[i]),
-                    int(trace.in_window[i]),
-                    int(trace.window_count[i]),
-                ]
-            )
+        writer.writerow(["t", *dtype.names])
+        # Row by row: as Python objects, a long trace takes several times its array's memory.
+        writer.writerows((t, *row.item()) for t, row in enumerate(flags_as_ints, start=1))
     return path

@@ -238,9 +238,15 @@ class TestExperiment:
             ({"surrogates": ["bogus"]}, "instances[0] (synth40): unknown surrogate kind 'bogus'"),
             ({"algorithm": "bogus"}, "algorithms[2]: unknown algorithm 'bogus'"),
             ({"algorithm": "sw-gsemo", "regime": "bogus"}, "algorithms[2]: unknown g2 regime 'bogus'"),
+            ({"alphas": []}, "'alphas' in instances[0] must not be empty"),
+            ({"surrogates": []}, "'surrogates' in instances[0] must not be empty"),
+            ({"budgets": []}, "'budgets' in instances[0] must not be empty"),
+            ({"name": "../x"}, "instances[0] (../x): name '../x' holds '/'"),
+            ({"algorithm": "gsemo", "label": "a/b"}, "algorithms[2]: label 'a/b' holds '/'"),
         ],
         ids=["budgets-0", "alphas-1.5", "alphas-string", "t_max-float", "t_max-bool", "t_max-negative",
-             "base_seed-negative", "weights", "d", "surrogates", "algorithm", "regime"],
+             "base_seed-negative", "weights", "d", "surrogates", "algorithm", "regime",
+             "alphas-empty", "surrogates-empty", "budgets-empty", "name-path", "label-path"],
     )
     def test_config_fault_is_config_error(self, graph_file, tmp_path, edit, message):
         # Faults found while building the grid's cells exit 2 as well, before

@@ -1,4 +1,5 @@
 import csv
+import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -14,6 +15,7 @@ from ccsubmod import (
     SurrogateKind,
     emit_trace,
     load_experiment_config,
+    make_degree_weights,
     make_iid_weights,
     run,
     run_experiment,
@@ -341,6 +343,30 @@ class TestTrace:
         p1 = emit_trace(run(inst, cfg), tmp_path / "t1.csv")
         p2 = emit_trace(run(inst, cfg), tmp_path / "t2.csv")
         assert p1.read_bytes() == p2.read_bytes()
+
+    # sha256 of the CSV of three seeded 3000-iteration runs on one 40-node
+    # graph, iid weights under the surrogate and degree weights under the
+    # expected weight. The runs hold infeasible, rejected and accepted
+    # offspring, and empty, single and double windows, so a change to any
+    # column or to how it is written shows up here.
+    PINNED_TRACES = {
+        ("sw-gsemo", "iid"): "547a221bb5062c191ecdff709c00cf9806c2cf0bbd70384727f0140acbc1e730",
+        ("gsemo", "degree"): "133b9198768ce1b0e5e49048d1025ed08355741bd6cd3a7947a2698993b4ce4e",
+        ("sw-gsemo", "degree"): "6bb451c597fc057f018f1f5d753c6fc59548635655e673cad62e7acc78919030",
+    }
+
+    @pytest.mark.parametrize("algorithm, weights", sorted(PINNED_TRACES))
+    def test_trace_bytes_pinned(self, tmp_path, algorithm, weights):
+        graph = random_sparse_graph(40, 90, seed=13)
+        if weights == "iid":
+            model, regime, budget = make_iid_weights(40, 1, 0.5), G2Regime.SURROGATE, 10.0
+        else:
+            model, regime, budget = make_degree_weights(graph, 1.0), G2Regime.EXPECTED, 40.0
+        inst = Instance(graph=graph, weights=model, budget=budget, alpha=0.1,
+                        surrogate=SurrogateKind.CHEBYSHEV)
+        cfg = RunConfig(algorithm=algorithm, t_max=3000, seed=(7, 1), regime=regime, trace=True)
+        path = emit_trace(run(inst, cfg), tmp_path / "trace.csv")
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == self.PINNED_TRACES[(algorithm, weights)]
 
     def test_accepted_g2_tracks_window_envelope(self):
         # On a well-behaved run nearly all accepted offspring sit within one
