@@ -9,7 +9,7 @@ from .algorithms import (
     make_rng,
     run,
 )
-from .chance import Evaluator, G2Regime, Objectives, dominates
+from .chance import Evaluator, G2Regime, Objectives
 from .graphs import Graph, GraphFormatError, load_graph, save_edge_list
 from .harness import (
     ExperimentConfig,
@@ -41,7 +41,6 @@ __all__ = [
     "Evaluator",
     "G2Regime",
     "Objectives",
-    "dominates",
     "Graph",
     "GraphFormatError",
     "load_graph",

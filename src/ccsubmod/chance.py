@@ -1,4 +1,4 @@
-"""Surrogate weights, bi-objective fitness, and Pareto dominance.
+"""Surrogate weights and bi-objective fitness.
 
 A selection x of elements with uniform weights has
 
@@ -36,7 +36,6 @@ __all__ = [
     "G2Regime",
     "Objectives",
     "Scored",
-    "dominates",
     "Evaluator",
 ]
 
@@ -81,14 +80,6 @@ def _tail_coefficient(model: WeightModel, alpha: float, kind: SurrogateKind) -> 
         return math.sqrt((1.0 - alpha) * d * d / (3.0 * alpha))
     # ln(1/alpha) computed as -ln(alpha)
     return math.sqrt(3.0 * d * -math.log(alpha))
-
-
-def dominates(a: Objectives, b: Objectives, strict: bool = False) -> bool:
-    """Weak dominance: g1(a) >= g1(b) and g2(a) <= g2(b); strict adds inequality."""
-    weak = a.g1 >= b.g1 and a.g2 <= b.g2
-    if not strict:
-        return weak
-    return weak and (a.g1 > b.g1 or a.g2 < b.g2)
 
 
 class Evaluator:

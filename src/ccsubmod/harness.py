@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import sys
 from collections import deque
@@ -31,9 +32,11 @@ from collections.abc import Iterator
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from contextlib import closing, contextmanager
-from dataclasses import MISSING, dataclass, field, fields, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from itertools import product
 from pathlib import Path
+from types import UnionType
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 
@@ -83,9 +86,9 @@ class InstanceSpec:
     weights: str = "iid"
     a: int = 1
     d: float = 0.5
-    budgets: tuple | str = "grid"
-    alphas: tuple = (0.1, 0.001)
-    surrogates: tuple = ("chebyshev", "chernoff")
+    budgets: tuple[float, ...] | str = "grid"
+    alphas: tuple[float, ...] = (0.1, 0.001)
+    surrogates: tuple[str, ...] = ("chebyshev", "chernoff")
     name: str = ""
 
     def resolved_name(self) -> str:
@@ -103,74 +106,62 @@ class ExperimentConfig:
     name: str = "experiment"
 
     def validate(self) -> None:
-        """Raise ValueError when the grid is empty, ``repetitions`` is below
-        1, ``base_seed`` is negative, an instance's ``alphas``, ``budgets``
-        or ``surrogates`` list is empty (named as ``'alphas' in
-        instances[0]``), or an entry of such a list or of ``t_max`` is not a
-        JSON scalar of its type (named as ``t_max[0]``)."""
-        if not self.instances or not self.algorithms or not self.t_max:
-            raise ValueError("experiment grid is empty")
+        """Raise ValueError when the config fails the check a JSON config
+        gets (see :func:`_check_entry`), so one built in Python is held to
+        the same schema, when ``repetitions`` is below 1, or when
+        ``base_seed`` is negative."""
+        _check_entry(ExperimentConfig, asdict(self), "the config")
         if self.repetitions < 1:
             raise ValueError("repetitions must be >= 1")
         if self.base_seed < 0:
             # Every run's seed (base_seed, cell index, rep) must be non-negative.
             raise ValueError("base_seed must be >= 0")
-        _check_items(self.t_max, "t_max", "the config", "int")
-        for i, spec in enumerate(self.instances):
-            where = f"instances[{i}]"
-            _check_items(spec.alphas, "alphas", where, "float")
-            _check_items(spec.surrogates, "surrogates", where, "str")
-            if spec.budgets != "grid":
-                _check_items(spec.budgets, "budgets", where, "float")
 
 
 def load_experiment_config(path: str | Path) -> ExperimentConfig:
     """Parse a JSON grid config; the dataclass defaults fill absent keys.
 
-    Raises ValueError naming the entry at fault when the config or one of
-    its ``instances`` or ``algorithms`` entries is not a JSON object, lacks
-    a required key, holds a key that is not a field of the entry (so a
-    misspelt key cannot silently run its default), holds something other
-    than a list under a list-valued key, or holds a scalar of the wrong
-    type, also as a list entry (see :meth:`ExperimentConfig.validate`).
+    Raises ValueError naming the entry at fault when the document fails
+    :func:`_check_entry` against :class:`ExperimentConfig` or
+    :meth:`ExperimentConfig.validate`. A relative ``graph`` path is read
+    from the config file's directory.
     """
     path = Path(path)
     with open(path, "r", encoding="utf-8") as fh:
         doc = json.load(fh)
     _check_entry(ExperimentConfig, doc, "the config")
-    for key in ("instances", "algorithms", "t_max"):
-        _require_list(doc, key, "the config")
-    instances = []
-    for i, entry in enumerate(doc["instances"]):
-        where = f"instances[{i}]"
-        _check_entry(InstanceSpec, entry, where)
-        _require_list(entry, "alphas", where)
-        _require_list(entry, "surrogates", where)
-        _require_list(entry, "budgets", where, "grid")
-        # The spec is frozen, so its list values (budgets, alphas,
-        # surrogates) become tuples.
-        lists = {k: tuple(v) for k, v in entry.items() if isinstance(v, list)}
-        graph = str(path.parent / entry["graph"])  # an absolute path stays as it is
-        instances.append(InstanceSpec(**{**entry, **lists, "graph": graph}))
-    algorithms = []
-    for i, entry in enumerate(doc["algorithms"]):
-        _check_entry(AlgorithmSpec, entry, f"algorithms[{i}]")
-        algorithms.append(AlgorithmSpec(**entry))
+    # The spec is frozen, so its lists (budgets, alphas, surrogates) become tuples.
+    instances = [
+        InstanceSpec(**{
+            **{k: tuple(v) if isinstance(v, list) else v for k, v in entry.items()},
+            "graph": str(path.parent / entry["graph"]),  # an absolute path stays as it is
+        })
+        for entry in doc["instances"]
+    ]
+    algorithms = [AlgorithmSpec(**entry) for entry in doc["algorithms"]]
     name = doc.get("name", path.stem)
     cfg = ExperimentConfig(**{**doc, "instances": instances, "algorithms": algorithms, "name": name})
     cfg.validate()
     return cfg
 
 
-# Field annotations (strings, as annotations are postponed) whose values a
-# config entry must give as JSON scalars of these types.
-_SCALAR_TYPES = {"int": (int,), "float": (int, float), "str": (str,)}
+# The scalar annotations whose values a config entry must give as JSON
+# scalars of these types; a bool is never taken for a number.
+_SCALAR_TYPES = {int: (int,), float: (int, float), str: (str,)}
 
 
 def _check_entry(cls, entry, where: str) -> None:
     """Raise ValueError unless ``entry`` is a JSON object that can build a
-    ``cls``: no unknown key, every required key, and a JSON scalar of the
-    field's type under each ``int``, ``float`` or ``str`` field."""
+    ``cls``, with the field annotations as the only schema.
+
+    The object must hold every required key and no unknown one (so a
+    misspelt key cannot silently run its default). An ``int``, ``float`` or
+    ``str`` field holds a JSON scalar of that type. A ``list[...]`` or
+    ``tuple[..., ...]`` field holds a non-empty list whose items are scalars
+    of the item type, named as ``t_max[0] in the config``, or entries
+    checked the same way, named as ``instances[1]``. A field annotated
+    ``... | str`` also takes its default string (``"budgets": "grid"``).
+    """
     if not isinstance(entry, dict):
         kind = {list: "an array", str: "a string", bool: "a boolean", type(None): "null"}.get(type(entry), "a number")
         raise ValueError(f"{where} must be a JSON object, got {kind}")
@@ -178,32 +169,30 @@ def _check_entry(cls, entry, where: str) -> None:
     unknown = sorted(set(entry) - set(names))
     if unknown:
         raise ValueError(f"unknown key {unknown[0]!r} in {where}")
+    hints = get_type_hints(cls)
     for name, f in names.items():
         if name not in entry:
             if f.default is MISSING and f.default_factory is MISSING:
                 raise ValueError(f"{where} has no {name!r} key")
             continue
-        value, kinds = entry[name], _SCALAR_TYPES.get(f.type)
-        if kinds is not None and (isinstance(value, bool) or not isinstance(value, kinds)):
-            raise ValueError(f"{name!r} in {where} must be of type {f.type}, got {value!r}")
-
-
-def _check_items(values, key: str, where: str, kind: str) -> None:
-    """Raise ValueError when ``values`` is empty, or naming its first entry
-    that is not a JSON scalar of type ``kind``."""
-    if not values:
-        raise ValueError(f"{key!r} in {where} must not be empty")
-    for j, value in enumerate(values):
-        if isinstance(value, bool) or not isinstance(value, _SCALAR_TYPES[kind]):
-            raise ValueError(f"{key}[{j}] in {where} must be of type {kind}, got {value!r}")
-
-
-def _require_list(entry: dict, key: str, where: str, *allowed: str) -> None:
-    """Raise ValueError unless ``entry[key]``, when present, is a list or
-    one of the ``allowed`` strings."""
-    value = entry.get(key, [])
-    if not isinstance(value, list) and value not in allowed:
-        raise ValueError(f"{key!r} in {where} must be a list, got {value!r}")
+        value, hint = entry[name], hints[name]
+        if get_origin(hint) is UnionType:  # a list that also takes its default string
+            if value == f.default:
+                continue
+            hint = get_args(hint)[0]
+        if get_origin(hint) in (list, tuple):
+            if not isinstance(value, (list, tuple)):
+                raise ValueError(f"{name!r} in {where} must be a list, got {value!r}")
+            if not value:
+                raise ValueError(f"{name!r} in {where} must not be empty")
+            hint, items = get_args(hint)[0], [(f"{name}[{j}]", item) for j, item in enumerate(value)]
+        else:
+            items = [(repr(name), value)]
+        for key, item in items:
+            if is_dataclass(hint):
+                _check_entry(hint, item, key)
+            elif hint in _SCALAR_TYPES and (isinstance(item, bool) or not isinstance(item, _SCALAR_TYPES[hint])):
+                raise ValueError(f"{key} in {where} must be of type {hint.__name__}, got {item!r}")
 
 
 def _check_file_name(name: str, key: str) -> None:
@@ -342,11 +331,12 @@ def run_experiment(
 ) -> ResultSet:
     """Execute every (cell, repetition) of the grid and aggregate results.
 
-    A config fault (see :func:`expand_cells`) raises ValueError naming the
-    entry before the output directory is created. With ``resume`` set, a
-    stored run file is reused when it parses and its config echo equals
-    that of the run it stands for (seed, regime, ``a``, ``d``, ``n``,
-    population and children included); any other stored file is recomputed
+    A config fault (see :func:`expand_cells`) or a ``CCSUBMOD_WORKERS``
+    that is not an integer raises ValueError before the output directory
+    is created. With ``resume`` set, a stored run file is reused when it
+    parses, its config echo equals that of the run it stands for (seed,
+    regime, ``a``, ``d``, ``n``, population and children included) and its
+    result fields are finite numbers; any other stored file is recomputed
     and overwritten, with a line on stderr. A graph that fails to load, a
     run that raises and a dead worker are recorded in ``errors`` and never
     abort the rest of the grid. Each run not taken from a stored file writes
@@ -354,6 +344,7 @@ def run_experiment(
     records an error.
     """
     cells, errors = expand_cells(cfg)
+    workers = _worker_count(workers)
     out = Path(out_dir) if out_dir is not None else Path(cfg.output_dir)
     runs_dir = out / "runs"
     runs_dir.mkdir(parents=True, exist_ok=True)
@@ -425,16 +416,26 @@ def run_experiment(
 
 
 def _stored_record(path: Path, echo: dict) -> dict | None:
-    """The record stored at ``path`` if it parses and its config is ``echo``."""
+    """The record stored at ``path`` if it parses, its config is ``echo``
+    and it holds a finite number (not a bool) under ``best_g1``,
+    ``archive_size`` and ``peak_archive_size``; otherwise None, with a
+    stderr line."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             record = json.load(fh)
     except (OSError, ValueError) as exc:
         reason = f"is unreadable ({exc})"
     else:
-        if isinstance(record, dict) and record.get("config") == echo:
-            return record
-        reason = "was made by another run configuration"
+        if not isinstance(record, dict) or record.get("config") != echo:
+            reason = "was made by another run configuration"
+        else:
+            keys = ("best_g1", "archive_size", "peak_archive_size")
+            broken = [
+                key for key in keys if type(record.get(key)) not in (int, float) or not math.isfinite(record[key])
+            ]
+            if not broken:
+                return record
+            reason = f"is unreadable (no finite number under {broken[0]!r})"
     print(f"recomputing {path}: the stored run file {reason}", file=sys.stderr)
     return None
 
@@ -457,8 +458,13 @@ def _write_json(path: Path, doc: dict) -> None:
 # ---------------------------------------------------------------------------
 
 def _worker_count(workers: int | None) -> int:
+    """``workers``, else ``CCSUBMOD_WORKERS``, else the CPU count; at least 1."""
     if workers is None:
-        workers = int(os.environ.get("CCSUBMOD_WORKERS") or os.cpu_count() or 1)
+        env = os.environ.get("CCSUBMOD_WORKERS")
+        try:
+            workers = int(env or os.cpu_count() or 1)
+        except ValueError:
+            raise ValueError(f"CCSUBMOD_WORKERS must be an integer, got {env!r}") from None
     return max(1, workers)
 
 

@@ -71,6 +71,15 @@ def exhaustive_optimum(instance, regime: str = "surrogate-g2") -> tuple[float, t
     return best, best_bits
 
 
+def dominates(a, b, strict: bool = False) -> bool:
+    """Weak dominance of objective pairs: g1(a) >= g1(b) and g2(a) <= g2(b);
+    strict adds inequality."""
+    weak = a.g1 >= b.g1 and a.g2 <= b.g2
+    if not strict:
+        return weak
+    return weak and (a.g1 > b.g1 or a.g2 < b.g2)
+
+
 def filter_nondominated(pairs: list[tuple[float, float]]) -> list[tuple[float, float]]:
     """Sequential non-dominated filter with the replacement rule.
 

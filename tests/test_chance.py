@@ -13,11 +13,10 @@ from ccsubmod import (
     Instance,
     Objectives,
     SurrogateKind,
-    dominates,
     make_degree_weights,
     make_iid_weights,
 )
-from oracles import adjacency_lists, full_state, naive_coverage, naive_objectives
+from oracles import adjacency_lists, dominates, full_state, naive_coverage, naive_objectives
 
 
 def bitvec(n, ones):

@@ -223,6 +223,14 @@ class TestExperiment:
         assert not [line for line in err.splitlines() if line.startswith("[")]
         assert not (tmp_path / "out5").exists()
 
+    def test_malformed_worker_count_is_config_error(self, graph_file, tmp_path, monkeypatch):
+        monkeypatch.setenv("CCSUBMOD_WORKERS", "abc")
+        cfg = self.write_config(graph_file, tmp_path, "out13")
+        code, _, err = cli("experiment", "--config", str(cfg))
+        assert code == 2
+        assert "CCSUBMOD_WORKERS must be an integer, got 'abc'" in err
+        assert not (tmp_path / "out13").exists()
+
     @pytest.mark.parametrize(
         "edit, message",
         [

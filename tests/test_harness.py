@@ -2,7 +2,7 @@ import csv
 import hashlib
 import json
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import replace
+from dataclasses import asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -164,6 +164,31 @@ class TestRunExperiment:
         for name in ("results.json", "table.csv"):
             assert (out / name).read_bytes() == (tmp_path / "fresh" / name).read_bytes()
 
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda record: record.pop("best_g1"),
+            lambda record: record.update(best_g1="x"),
+            lambda record: record.update(best_g1=float("nan")),
+            lambda record: record.update(archive_size=None),
+            lambda record: record.update(peak_archive_size=True),
+        ],
+        ids=["best_g1-missing", "best_g1-string", "best_g1-nan", "archive_size-null", "peak_archive_size-bool"],
+    )
+    def test_resume_recomputes_run_file_with_broken_result(self, graph_file, tmp_path, capsys, edit):
+        # The stored config still matches; only a result field is broken.
+        out = tmp_path / "out"
+        fresh = run_experiment(small_config(graph_file, out), workers=1)
+        victim = sorted((out / "runs").glob("*.json"))[0]
+        record = json.loads(victim.read_text())
+        edit(record)
+        victim.write_text(json.dumps(record))
+        capsys.readouterr()
+        resumed = run_experiment(small_config(graph_file, out), workers=1, resume=True)
+        assert resumed.executed_runs == 1
+        assert f"recomputing {victim}" in capsys.readouterr().err
+        assert resumed.cells == fresh.cells
+
     def test_graph_file_edited_between_calls_is_reloaded(self, tmp_path):
         from ccsubmod import Graph, save_edge_list
 
@@ -228,6 +253,31 @@ class TestRunExperiment:
         with pytest.raises(ValueError) as excinfo:
             run_experiment(cfg, workers=workers)
         assert str(excinfo.value) == error
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "edit, message",
+        [
+            (lambda cfg: replace(cfg, t_max=[1.5]), "t_max[0] in the config must be of type int, got 1.5"),
+            (
+                lambda cfg: replace(cfg, instances=[cfg.instances[0], replace(cfg.instances[0], alphas=("x",))]),
+                "alphas[0] in instances[1] must be of type float, got 'x'",
+            ),
+            (lambda cfg: replace(cfg, instances=[]), "'instances' in the config must not be empty"),
+        ],
+        ids=["t_max-float", "alphas-string", "instances-empty"],
+    )
+    def test_python_built_config_fault_matches_json(self, graph_file, tmp_path, edit, message):
+        # A config built in Python gets the check a JSON config gets.
+        out = tmp_path / "out"
+        cfg = edit(small_config(graph_file, out))
+        with pytest.raises(ValueError) as built:
+            run_experiment(cfg, workers=1)
+        path = tmp_path / "fault.json"
+        path.write_text(json.dumps(asdict(cfg)))
+        with pytest.raises(ValueError) as loaded:
+            load_experiment_config(path)
+        assert str(built.value) == str(loaded.value) == message
         assert not out.exists()
 
     def test_config_file_loading(self, graph_file, tmp_path):
