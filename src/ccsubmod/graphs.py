@@ -6,6 +6,13 @@ formats used by the network data repository). Node ids are normalized to
 neighbors) is one row of a CSR array, with the node itself first, so its
 open neighborhood is the rest of the row.
 
+Loading takes a few passes over whole arrays. The file's text is scanned
+as bytes to find its lines, tokens and comment lines, and the integer
+tokens of all plain lines are converted by one numpy call; only lines
+with unusual content go through Python's ``int``. The CSR build sorts one
+key ``src * n + dst`` per orientation of each edge, drops repeats, and
+puts each node in front of its row.
+
 A full computation marks the rows of all selected nodes in a covered
 mask. A selection that is updated by flips is held as a state: one byte per
 node, where value 2 marks a selected node and value 1 a node that some
@@ -36,7 +43,8 @@ __all__ = [
 
 
 class GraphFormatError(ValueError):
-    """Raised for malformed graph files (non-integer tokens, bad ids)."""
+    """Raised for malformed graph files (non-integer tokens, bad ids); the
+    message names ``path:line`` when one line is at fault."""
 
 
 _COMMENT_PREFIXES = ("%", "#")
@@ -71,22 +79,25 @@ class Graph:
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         if edges.size and (edges.min() < 0 or edges.max() >= n):
             raise GraphFormatError("edge endpoint out of range")
-        u = np.minimum(edges[:, 0], edges[:, 1])
-        v = np.maximum(edges[:, 0], edges[:, 1])
-        keep = u != v
-        u, v = u[keep], v[keep]
-        if u.size:
-            canon = np.unique(u * np.int64(n) + v)
-            u, v = canon // n, canon % n
-        both_src = np.concatenate([u, v])
-        both_dst = np.concatenate([v, u])
-        order = np.lexsort((both_dst, both_src))
-        degrees = np.bincount(both_src, minlength=n).astype(np.int64)
+        src, dst = edges[:, 0], edges[:, 1]
+        keep = src != dst
+        src, dst = src[keep], dst[keep]
+        # One key src * n + dst per orientation of each edge: a single sort
+        # puts every row in order and every repeat next to its first copy.
+        keys = np.concatenate([src * np.int64(n) + dst, dst * np.int64(n) + src])
+        keys.sort()
+        if keys.size:
+            fresh = np.empty(keys.size, dtype=bool)
+            fresh[0] = True
+            np.not_equal(keys[1:], keys[:-1], out=fresh[1:])
+            keys = keys[fresh]
+        src, dst = np.divmod(keys, np.int64(n))
+        degrees = np.bincount(src, minlength=n).astype(np.int64, copy=False)
         open_starts = np.zeros(n + 1, dtype=np.int64)
         np.cumsum(degrees, out=open_starts[1:])
         ids = np.arange(n + 1, dtype=np.int64)
         # Each node goes in front of its own neighbors.
-        indices = np.insert(both_dst[order], open_starts[:-1], ids[:-1])
+        indices = np.insert(dst, open_starts[:-1], ids[:-1])
         indptr = open_starts + ids
         for a in (indptr, indices, degrees):
             a.setflags(write=False)
@@ -108,40 +119,132 @@ class Graph:
         return np.column_stack([src[higher], dst[higher]])
 
 
-def _parse_pairs(path: Path) -> tuple[list[tuple[int, int]], int | None, bool]:
-    """Read integer pair lines; returns (pairs, declared size or None, is_mm),
-    where is_mm means a Matrix-Market banner or a ``.mtx`` suffix."""
-    pairs: list[tuple[int, int]] = []
-    declared: int | None = None
-    is_mm = path.suffix.lower() == ".mtx"
-    first_data = True
+# The bytes ``str.split()`` treats as whitespace that can occur in a line
+# read with universal newlines, where "\n" is the only line break left.
+_SPACE_BYTES = b" \t\n\v\f\r\x1c\x1d\x1e\x1f"
+_SPACE, _DIGIT, _SIGN, _OTHER = range(4)
+_BYTE_CLASS = np.full(256, _OTHER, dtype=np.uint8)
+_BYTE_CLASS[list(_SPACE_BYTES)] = _SPACE
+_BYTE_CLASS[list(b"0123456789")] = _DIGIT
+_BYTE_CLASS[list(b"+-")] = _SIGN
+# A token of at most 18 bytes has at most 18 digits, so it fits int64 and the
+# array parse cannot clamp it. A longer one is read by int().
+_ARRAY_TOKEN_BYTES = 18
+_INT64 = np.iinfo(np.int64)
+
+
+def _read_pairs(path: Path) -> tuple[np.ndarray, np.ndarray, int | None, bool]:
+    """Read the integer pair lines of a graph file.
+
+    Returns the ``(u, v)`` pairs as an (m, 2) int64 array, the line number
+    of each pair, the size a header line declares (or None), and whether
+    the file is Matrix-Market (a banner or a ``.mtx`` suffix).
+
+    The text is scanned as one byte array. The lines whose tokens are all
+    ASCII ``[+-]digits`` of at most 18 bytes are parsed together by one
+    ``np.fromstring`` call. Any other line that is neither blank nor a
+    comment (non-ASCII bytes, a stray sign or character, a long token) goes
+    through ``str.split`` and ``int``, so every line means what it means to
+    Python. The first faulty line, in file order, is the one reported.
+    """
     with open(path, "r", encoding="utf-8", errors="replace") as fh:
-        for lineno, raw in enumerate(fh, start=1):
-            line = raw.strip()
-            if not line:
-                continue
-            if line.startswith(_COMMENT_PREFIXES):
-                if lineno == 1 and line.lower().startswith("%%matrixmarket"):
-                    is_mm = True
-                continue
-            tokens = line.split()
-            try:
-                values = [int(t) for t in tokens]
-            except ValueError as exc:
-                raise GraphFormatError(f"{path}:{lineno}: non-integer token in {line!r}") from exc
-            if first_data and len(values) == 3 and (is_mm or values[0] == values[1]):
-                # Matrix-Market size header "rows cols nnz". In other files
-                # only the "n n m" line save_edge_list writes is a header;
-                # any other three-integer line is a weighted edge.
-                declared = max(values[0], values[1])
-                first_data = False
-                continue
-            first_data = False
-            if len(values) < 2:
-                raise GraphFormatError(f"{path}:{lineno}: expected an integer pair, got {line!r}")
-            # Coordinate files may carry a value column; ignore anything past u v.
-            pairs.append((values[0], values[1]))
-    return pairs, declared, is_mm
+        text = fh.read()
+    banner = text.partition("\n")[0].strip().lower().startswith("%%matrixmarket")
+    is_mm = banner or path.suffix.lower() == ".mtx"
+    data = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+    cls = _BYTE_CLASS[data]
+    space = cls == _SPACE
+    begins = ~space
+    begins[1:] &= space[:-1]
+    token_starts = np.flatnonzero(begins)
+    if token_starts.size == 0:
+        return np.empty((0, 2), dtype=np.int64), np.empty(0, dtype=np.int64), None, is_mm
+
+    # Line i is data[starts[i]:ends[i]]; every line but perhaps the last ends at "\n".
+    ends = np.flatnonzero(data == ord("\n"))
+    if data[-1] != ord("\n"):
+        ends = np.append(ends, data.size)
+    starts = np.zeros_like(ends)
+    starts[1:] = ends[:-1] + 1
+    stops = ~space
+    stops[:-1] &= space[1:]
+    token_bytes = np.flatnonzero(stops) - token_starts + 1
+    first_token = np.searchsorted(token_starts, starts)
+    counts = np.searchsorted(token_starts, ends) - first_token
+    lead = data[token_starts[np.minimum(first_token, token_starts.size - 1)]]
+    comment = (counts > 0) & ((lead == ord("%")) | (lead == ord("#")))
+
+    # A sign is plain only as the first byte of a token, before a digit.
+    odd = cls == _OTHER
+    odd[:-1] |= (cls[:-1] == _SIGN) & ~(begins[:-1] & (cls[1:] == _DIGIT))
+    odd[-1] |= cls[-1] == _SIGN
+    slow = np.logical_or.reduceat(odd, starts)
+    slow[np.searchsorted(ends, token_starts[token_bytes > _ARRAY_TOKEN_BYTES])] = True
+    slow &= ~comment
+    fast = (counts > 0) & ~comment & ~slow
+
+    fast_lines = np.flatnonzero(fast)
+    fast_counts = counts[fast_lines]
+    offsets = np.cumsum(fast_counts) - fast_counts
+    values = np.empty(0, dtype=np.int64)
+    if fast_lines.size:
+        keep = np.repeat(fast, np.diff(starts, append=data.size))
+        keep &= ~space
+        body = np.where(keep, data, np.uint8(ord(" ")))
+        values = np.fromstring(body.tobytes(), dtype=np.int64, sep=" ")
+        if values.size != fast_counts.sum():
+            raise RuntimeError(f"{path}: read {values.size} integers, expected {fast_counts.sum()}")
+
+    def line_text(i: int) -> str:
+        return data[starts[i] : ends[i]].tobytes().decode("utf-8").strip()
+
+    def fail(i: int, message: str):
+        raise GraphFormatError(f"{path}:{i + 1}: {message}")
+
+    # The first faulty line is reported: one with a single integer, a token
+    # int() rejects, or a u or v beyond int64. Lines past the first plain
+    # line with a single integer need not be read.
+    short = fast_lines[fast_counts < 2]
+    rows: dict[int, list[int]] = {}
+    for i in np.flatnonzero(slow).tolist():
+        if short.size and i > short[0]:
+            break
+        line = line_text(i)
+        if not line or line.startswith(_COMMENT_PREFIXES):
+            continue
+        try:
+            row = [int(t) for t in line.split()]
+        except ValueError:
+            fail(i, f"non-integer token in {line!r}")
+        if len(row) < 2:
+            fail(i, f"expected an integer pair, got {line!r}")
+        if not all(_INT64.min <= x <= _INT64.max for x in row[:2]):
+            fail(i, f"id or size beyond int64 in {line!r}")
+        rows[i] = row
+    if short.size:
+        fail(int(short[0]), f"expected an integer pair, got {line_text(int(short[0]))!r}")
+
+    # Only the first data line can be a size header: "rows cols nnz" in
+    # Matrix-Market files and, elsewhere, only the "n n m" line
+    # save_edge_list writes. Any other three-integer line is a weighted edge.
+    declared, header = None, -1
+    if fast_lines.size or rows:
+        header = min(fast_lines[:1].tolist() + list(rows)[:1])
+        head = rows[header] if header in rows else values[: fast_counts[0]].tolist()
+        if len(head) == 3 and (is_mm or head[0] == head[1]):
+            declared = max(head[:2])
+        else:
+            header = -1
+
+    # Coordinate files may carry a value column; anything past u v is ignored.
+    at = offsets[fast_lines != header]
+    pairs = np.concatenate([
+        np.column_stack([values[at], values[at + 1]]),
+        np.array([row[:2] for i, row in rows.items() if i != header], dtype=np.int64).reshape(-1, 2),
+    ])
+    slow_lines = np.array([i for i in rows if i != header], dtype=np.int64)
+    lines = np.concatenate([fast_lines[fast_lines != header], slow_lines]) + 1
+    return pairs, lines, declared, is_mm
 
 
 def load_graph(path: str | Path) -> Graph:
@@ -152,25 +255,20 @@ def load_graph(path: str | Path) -> Graph:
     start with '%' or '#'. A three-integer first data line is a size
     header in Matrix-Market files; elsewhere it is one only in the ``n n m``
     form :func:`save_edge_list` writes, and otherwise an edge whose third
-    column is ignored. Self loops are dropped, duplicate edges are merged,
-    and the node count is ``max(declared header size, largest id + 1)`` so
-    that isolated trailing nodes declared by the header survive.
+    column is ignored (but must be an integer). Ids and header sizes must
+    fit int64. Self loops are dropped, duplicate edges are merged, and the
+    node count is ``max(declared header size, largest id + 1)`` so that
+    isolated trailing nodes declared by the header survive. A malformed
+    file raises :class:`GraphFormatError` naming ``path:line``.
     """
     path = Path(path)
-    pairs, declared, is_mm = _parse_pairs(path)
-    one_based = is_mm or not any(0 in pair for pair in pairs)
-
-    if pairs:
-        edges = np.asarray(pairs, dtype=np.int64)
-        if one_based:
-            edges = edges - 1
-        if edges.min() < 0:
-            raise GraphFormatError(f"{path}: node id below the indexing base")
-        max_id = int(edges.max())
-    else:
-        edges = np.empty((0, 2), dtype=np.int64)
-        max_id = -1
-    n = max(declared or 0, max_id + 1)
+    edges, lines, declared, is_mm = _read_pairs(path)
+    base = 1 if is_mm or not (edges == 0).any() else 0
+    below = (edges < base).any(axis=1)
+    if below.any():
+        raise GraphFormatError(f"{path}:{lines[below].min()}: node id below the indexing base")
+    edges -= base
+    n = max(declared or 0, int(edges.max()) + 1 if edges.size else 0)
     if n == 0:
         raise GraphFormatError(f"{path}: no nodes (empty file without size header)")
     return Graph.from_edges(n, edges)

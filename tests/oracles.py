@@ -7,6 +7,10 @@ sized draws the optimizers once made, which their cheaper draws must
 reproduce value for value and state for state. The Dunn marks are built
 on ``scipy.stats`` instead, and skip their test when scipy is missing.
 
+The graph-file reference reads a file line by line with ``str.split`` and
+``int``, the way the loader once did, and builds closed neighbourhoods
+from python sets.
+
 The helpers at the end turn selections between the forms tests use and
 the library's; only tests need them.
 """
@@ -16,11 +20,12 @@ from __future__ import annotations
 import itertools
 import math
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from ccsubmod.graphs import coverage_of_indices
+from ccsubmod.graphs import GraphFormatError, coverage_of_indices
 
 
 def adjacency_lists(graph) -> list[list[int]]:
@@ -36,6 +41,76 @@ def naive_coverage(adjacency: list, selection) -> int:
             covered.add(v)
             covered.update(int(u) for u in adjacency[v])
     return len(covered)
+
+
+def reference_load(path) -> tuple[int, list[tuple[int, int]]]:
+    """Node count and 0-based ``(u, v)`` pairs of a graph file, read one line
+    at a time; raises ``GraphFormatError`` naming ``path:line`` for the first
+    faulty line, as ``load_graph`` must.
+
+    Lines are split by file iteration with universal newlines. Blank lines
+    and lines starting with '%' or '#' are skipped; a first line starting
+    with ``%%MatrixMarket`` (any case) marks the file Matrix-Market, as does
+    a ``.mtx`` suffix. Every other line holds integers: a three-integer first
+    data line is the size header in Matrix-Market files and, elsewhere, only
+    when its first two values are equal. Any other line needs at least two
+    integers, of which the first two (u and v) must fit int64. Ids are
+    1-based in Matrix-Market files and in other files with no 0 among u and
+    v, otherwise 0-based; an id below the base names the first line holding
+    one. The node count is ``max(declared size, largest id + 1)``.
+    """
+    path = Path(path)
+    is_mm = path.suffix.lower() == ".mtx"
+    declared = None
+    pairs, lines = [], []
+    first_data = True
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        for lineno, raw in enumerate(fh, start=1):
+            line = raw.strip()
+            if not line:
+                continue
+            if line.startswith(("%", "#")):
+                if lineno == 1 and line.lower().startswith("%%matrixmarket"):
+                    is_mm = True
+                continue
+            try:
+                values = [int(t) for t in line.split()]
+            except ValueError:
+                raise GraphFormatError(f"{path}:{lineno}: non-integer token in {line!r}") from None
+            if len(values) < 2:
+                raise GraphFormatError(f"{path}:{lineno}: expected an integer pair, got {line!r}")
+            if not all(-(2**63) <= x < 2**63 for x in values[:2]):
+                raise GraphFormatError(f"{path}:{lineno}: id or size beyond int64 in {line!r}")
+            if first_data and len(values) == 3 and (is_mm or values[0] == values[1]):
+                declared = max(values[0], values[1])
+            else:
+                pairs.append((values[0], values[1]))
+                lines.append(lineno)
+            first_data = False
+    base = 1 if is_mm or not any(0 in pair for pair in pairs) else 0
+    for (u, v), lineno in zip(pairs, lines):
+        if min(u, v) < base:
+            raise GraphFormatError(f"{path}:{lineno}: node id below the indexing base")
+    n = max(declared or 0, max((max(pair) - base + 1 for pair in pairs), default=0))
+    if n == 0:
+        raise GraphFormatError(f"{path}: no nodes (empty file without size header)")
+    return n, [(u - base, v - base) for u, v in pairs]
+
+
+def reference_csr(n: int, pairs) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``(indptr, indices, degrees)`` of the closed neighbourhoods of an
+    undirected graph, from python sets: row v holds v, then its neighbours
+    in ascending order, with self loops and repeated edges dropped."""
+    neighbours = [set() for _ in range(n)]
+    for u, v in pairs:
+        if u != v:
+            neighbours[u].add(int(v))
+            neighbours[v].add(int(u))
+    rows = [[v, *sorted(neighbours[v])] for v in range(n)]
+    indptr = np.cumsum([0] + [len(row) for row in rows], dtype=np.int64)
+    indices = np.array([x for row in rows for x in row], dtype=np.int64)
+    degrees = np.array([len(s) for s in neighbours], dtype=np.int64)
+    return indptr, indices, degrees
 
 
 def naive_surrogate(expected_sum: float, k: int, d: float, alpha: float, kind: str) -> float:

@@ -73,6 +73,15 @@ class TestRun:
         )
         assert code == 2
 
+    def test_id_beyond_int64_is_config_error(self, tmp_path):
+        graph = tmp_path / "huge.txt"
+        graph.write_text("1 2\n2 99999999999999999999\n")
+        code, out, err = cli("run", "--graph", str(graph), *RUN_FLAGS)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("configuration error:")
+        assert f"{graph}:2: id or size beyond int64" in err
+
     # A repeated flag overrides the earlier one in RUN_FLAGS.
     @pytest.mark.parametrize("flag", ["--weights", "--surrogate", "--regime"])
     def test_unknown_name_is_config_error(self, graph_file, flag):

@@ -1,12 +1,26 @@
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ccsubmod import GraphFormatError, load_graph, save_edge_list
+from ccsubmod import Graph, GraphFormatError, load_graph, save_edge_list
 from ccsubmod.graphs import coverage_of_indices, update_coverage
 from conftest import GRAPHS, random_sparse_graph
-from oracles import adjacency_lists, closed_neighborhood, coverage_count, full_state, naive_coverage
+from oracles import (
+    adjacency_lists,
+    closed_neighborhood,
+    coverage_count,
+    full_state,
+    naive_coverage,
+    reference_csr,
+    reference_load,
+)
+
+sys.path.append(str(Path(__file__).resolve().parents[1] / "perfbench"))
+import graphgen  # noqa: E402
 
 
 def write(tmp_path, name, text):
@@ -96,6 +110,47 @@ class TestLoadGraph:
         with pytest.raises(OSError):
             load_graph(tmp_path / "nope.txt")
 
+    def test_id_beyond_int64_raises_naming_its_line(self, tmp_path):
+        for token in ["9223372036854775808", "-9223372036854775809", "1" + "0" * 30]:
+            p = write(tmp_path, "g.txt", f"1 2\n3 {token}\n")
+            with pytest.raises(GraphFormatError, match=r"g\.txt:2: id or size beyond int64"):
+                load_graph(p)
+
+    def test_weight_beyond_int64_is_ignored(self, tmp_path):
+        g = load_graph(write(tmp_path, "g.txt", "1 2 99999999999999999999\n2 3 -7\n"))
+        assert g.n == 3
+        assert g.edge_array().tolist() == [[0, 1], [1, 2]]
+
+    def test_errors_name_the_first_faulty_line(self, tmp_path):
+        cases = {
+            "1 2\n\n3\n4 x\n": ":3: expected an integer pair",
+            "1 2\n4 x\n3\n": ":2: non-integer token",
+            "% c\n1 2 0.5\n": ":2: non-integer token",
+            "1 2\r\n2 3\r\n+ 1\r\n": ":3: non-integer token",
+            "1 2\n2 3 -": ":2: non-integer token",
+        }
+        for text, where in cases.items():
+            with pytest.raises(GraphFormatError, match=where):
+                load_graph(write(tmp_path, "g.txt", text))
+        p = write(tmp_path, "g.mtx", "3 3 2\n1 2\n\n0 3\n")
+        with pytest.raises(GraphFormatError, match=r"g\.mtx:4: node id below the indexing base"):
+            load_graph(p)
+
+    def test_python_integer_spellings(self, tmp_path):
+        # Tokens mean what int() makes of them, and str.split() whitespace
+        # (here a vertical tab and a no-break space) separates them.
+        g = load_graph(write(tmp_path, "g.txt", "+1 002\n1_0\x0b3\n\u0663\xa04\n"))
+        assert g.n == 10
+        assert g.edge_array().tolist() == [[0, 1], [2, 3], [2, 9]]
+
+    def test_only_newline_carriage_return_and_crlf_end_lines(self, tmp_path):
+        g = load_graph(write(tmp_path, "g.txt", "1 2\r2 3\r\n3\x0c4\x1c\n"))
+        assert g.edge_array().tolist() == [[0, 1], [1, 2], [2, 3]]
+        # str.splitlines() would also break at these; to file iteration they
+        # are whitespace inside one line, so "3 4" and "5 6" are ignored columns.
+        g = load_graph(write(tmp_path, "g.txt", "1 2\x853 4\u20285 6\n"))
+        assert g.n == 2
+
     @pytest.mark.parametrize("name", ["round.txt", "round.mtx"])
     def test_roundtrip_identical(self, tmp_path, name):
         g = random_sparse_graph(60, 120, seed=5)
@@ -106,6 +161,128 @@ class TestLoadGraph:
         assert np.array_equal(g2.degrees, g.degrees)
         assert np.array_equal(g2.indptr, g.indptr)
         assert np.array_equal(g2.indices, g.indices)
+
+    @pytest.mark.parametrize("name", ["condmat.txt", "condmat.mtx"])
+    def test_roundtrip_identical_at_condmat_size(self, tmp_path, name):
+        g = random_sparse_graph(21363, 91286, seed=8)
+        p = tmp_path / name
+        save_edge_list(g, p)
+        g2 = load_graph(p)
+        assert g2.n == g.n
+        for attr in ("indptr", "indices", "degrees"):
+            assert getattr(g2, attr).dtype == np.int64
+            assert np.array_equal(getattr(g2, attr), getattr(g, attr))
+
+
+def assert_graph_equals_reference(graph, n, pairs):
+    indptr, indices, degrees = reference_csr(n, pairs)
+    assert graph.n == n
+    assert np.array_equal(graph.indptr, indptr)
+    assert np.array_equal(graph.indices, indices)
+    assert np.array_equal(graph.degrees, degrees)
+
+
+def outcome(load, path):
+    """What a loader makes of a file: its result, or its error message."""
+    try:
+        return load(path), None
+    except GraphFormatError as exc:
+        return None, str(exc)
+
+
+SPACES = [" ", "  ", "\t", " \t ", "\x0b", "\x0c", "\x1c", "\x1f", "\xa0", "\u2003"]
+ENDINGS = ["\n", "\r\n", "\r"]
+
+
+@st.composite
+def integer_tokens(draw, low=0, high=12):
+    """An int token as a file may spell it: plain, '+'-signed or zero-padded."""
+    value = draw(st.integers(min_value=low, max_value=high))
+    spelling = draw(st.sampled_from(["{}", "{}", "{}", "+{}", "0{}", "00{}"]))
+    return spelling.format(value) if value >= 0 else str(value)
+
+
+@st.composite
+def graph_lines(draw):
+    kind = draw(st.sampled_from(["pair"] * 6 + ["weighted", "blank", "comment", "odd"]))
+    if kind == "blank":
+        return "".join(draw(st.lists(st.sampled_from(SPACES), max_size=3)))
+    if kind == "comment":
+        prefix = draw(st.sampled_from(["%", "#", "%%MatrixMarket matrix", "% 1 2"]))
+        return prefix + draw(st.text(alphabet="ab 17%#\té", max_size=8))
+    if kind == "odd":
+        return draw(st.sampled_from([
+            "5", "x 1", "1 2.5", "1_0 2", "1 2 w", "+ 1", "1- 2", "\u0661 \u0662", "--1 2",
+            "99999999999999999999 1", "1 -99999999999999999999", "1 2 %c", "1 2 " + "7" * 25,
+            "0000000000000000000000003 4", "\x00", "\ufffd 1", "-1 2", "1 2 -", "3 +",
+        ]))
+    tokens = [draw(integer_tokens()), draw(integer_tokens())]
+    if kind == "weighted":
+        tokens.append(draw(integer_tokens(low=-(10**20), high=10**20)))
+    return draw(st.sampled_from(SPACES)).join(tokens)
+
+
+@st.composite
+def graph_files(draw):
+    """File text with random line endings, spacing, comments, an optional
+    banner and size header, ragged weight columns and some faulty lines."""
+    lines = draw(st.lists(graph_lines(), max_size=12))
+    if draw(st.booleans()):
+        size = draw(st.integers(min_value=0, max_value=15))
+        lines.insert(0, f"{size} {size if draw(st.booleans()) else size + 1} {len(lines)}")
+    if draw(st.booleans()):
+        lines.insert(0, draw(st.sampled_from(["%%MatrixMarket matrix coordinate pattern symmetric", "%%matrixmarket"])))
+    text = ""
+    for line in lines:
+        pad = draw(st.sampled_from(["", "", " ", "\t", " \x0c"]))
+        text += pad + line + draw(st.sampled_from(["", " ", "\t "])) + draw(st.sampled_from(ENDINGS))
+    if text and draw(st.booleans()):
+        text = text.rstrip("\r\n")
+    return text
+
+
+class TestLoaderMatchesReference:
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    @given(text=graph_files(), suffix=st.sampled_from([".txt", ".mtx", ".edges"]))
+    def test_random_files(self, tmp_path_factory, text, suffix):
+        path = tmp_path_factory.getbasetemp() / f"hypothesis{suffix}"
+        path.write_bytes(text.encode("utf-8"))
+        want, want_error = outcome(reference_load, path)
+        got, got_error = outcome(load_graph, path)
+        assert got_error == want_error
+        if want is not None:
+            assert_graph_equals_reference(got, *want)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    @pytest.mark.parametrize("spec", [graphgen.CSPHD, graphgen.CONDMAT], ids=lambda s: s.name)
+    def test_generated_benchmark_graphs(self, tmp_path, spec, seed):
+        path = tmp_path / f"{spec.name}.mtx"
+        graphgen.write_mtx(path, spec.n, graphgen.generate(spec, seed))
+        assert_graph_equals_reference(load_graph(path), *reference_load(path))
+
+
+class TestFromEdges:
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    @given(data=st.data(), n=st.integers(min_value=1, max_value=14))
+    def test_matches_set_oracle(self, data, n):
+        node = st.integers(min_value=0, max_value=n - 1)
+        edges = data.draw(st.lists(st.tuples(node, node), max_size=30))
+        # Repeat some edges in either orientation, and add self loops.
+        edges += [(v, u) for u, v in data.draw(st.lists(st.sampled_from(edges), max_size=5))] if edges else []
+        edges += [(v, v) for v in data.draw(st.lists(node, max_size=3))]
+        order = data.draw(st.permutations(range(len(edges))))
+        edges = np.array([edges[i] for i in order], dtype=np.int64).reshape(-1, 2)
+        assert_graph_equals_reference(Graph.from_edges(n, edges), n, edges.tolist())
+
+    @pytest.mark.parametrize("n", [1, 5])
+    def test_no_edges(self, n):
+        g = Graph.from_edges(n, np.empty((0, 2), dtype=np.int64))
+        assert_graph_equals_reference(g, n, [])
+        assert g.indices.tolist() == list(range(n))
+
+    def test_endpoint_out_of_range(self):
+        with pytest.raises(GraphFormatError):
+            Graph.from_edges(3, np.array([[0, 3]]))
 
 
 class TestClosedNeighborhood:
