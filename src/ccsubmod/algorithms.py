@@ -10,7 +10,9 @@ Three algorithms share the bi-objective fitness from :mod:`ccsubmod.chance`:
   from which a child's is updated.
 * ``sw-gsemo``: same loop, but the parent comes from a weight window
   ``[floor(c), ceil(c)]`` with ``c = (t / t_max) * B`` sliding linearly from
-  0 to the budget over the run.
+  0 to the budget over the run. A member the window has passed can never be
+  a parent again, so it drops its state and keeps only its objectives:
+  SW-GSEMO holds states for O(window) members, not for the whole archive.
 * ``nsga2``: classic (mu + lambda) NSGA-II with fast non-dominated sorting
   and crowding distance, binary-tournament parents, uniform crossover and
   the same bit mutation. Its members are sorted arrays of selected node
@@ -105,7 +107,8 @@ class Individual:
 
     ``state`` is the read-only uint8 state of a feasible selection: value 2
     marks a selected node and value 1 a covered one, so the selection is
-    ``state >> 1``. It is None when the selection is infeasible.
+    ``state >> 1``. It is None when the selection is infeasible, or when a
+    sliding window has passed the member (see :meth:`ParetoArchive.raise_floor`).
     """
 
     state: np.ndarray | None
@@ -122,15 +125,22 @@ class ParetoArchive:
     increasing along the list) because any violation would be a dominance
     relation. There is at most one member per distinct g2 value; inserting an
     exact duplicate objective pair replaces the older member.
+
+    ``floor`` is the lower edge of a sliding selection window, -inf for an
+    archive without one. Of the members with g2 below it, only the last can
+    still be selected (as an empty window's fallback): every member under
+    that one holds no state, so a sliding run keeps O(window) states, not
+    one per member. Each member keeps its objectives either way.
     """
 
-    __slots__ = ("_g2", "members", "peak_size")
+    __slots__ = ("_g2", "members", "peak_size", "floor")
 
     def __init__(self) -> None:
         self._g2: list[float] = []
         # Members in g2-ascending order (read-only by convention).
         self.members: list[Individual] = []
         self.peak_size = 0
+        self.floor = -math.inf
 
     def __len__(self) -> int:
         return len(self.members)
@@ -160,7 +170,33 @@ class ParetoArchive:
         self.members.insert(j, ind)
         if len(g2s) > self.peak_size:
             self.peak_size = len(g2s)
+        if ind.g2 < self.floor:
+            if j + 1 < len(g2s) and g2s[j + 1] < self.floor:
+                # A later member below the floor shadows the newcomer.
+                ind.state = None
+            else:
+                self._release_under(j)
         return True
+
+    def raise_floor(self, floor: float) -> None:
+        """Raise the window's lower edge and drop the states it has passed.
+
+        The floor must not decrease. A member m stays released: a member m'
+        with g2(m) < g2(m') < floor blocks it, and a newcomer that removes
+        m' either lies in (g2(m), g2(m')] and blocks m in turn, or
+        dominates m as well.
+        """
+        self.floor = floor
+        self._release_under(bisect_left(self._g2, floor) - 1)
+
+    def _release_under(self, last: int) -> None:
+        """Drop the states of the members under index ``last``; the members
+        under the first stateless one have none already."""
+        members = self.members
+        i = last - 1
+        while i >= 0 and members[i].state is not None:
+            members[i].state = None
+            i -= 1
 
     def uniform_member(self, draw: Callable[[int], int]) -> Individual:
         """A member drawn uniformly by ``draw`` (see :func:`_index_draw`):
@@ -254,12 +290,19 @@ def _sliding_select(
     Returns (parent, in_window, window occupancy). When the window is empty
     the best-coverage member below it is used instead (``in_window`` False),
     and past ``t_max`` selection reverts to uniform over the whole archive.
+
+    A run calls it with t rising, so c never decreases: the archive's floor
+    follows floor(c), and the members the window has passed drop their
+    states (see :meth:`ParetoArchive.raise_floor`). The best member tops
+    the staircase, so it keeps its state.
     """
     if t > t_max or t_max < 1:
         return archive.uniform_member(draw), False, 0
     c_hat = (t / t_max) * budget
     lo = math.floor(c_hat)
     hi = math.ceil(c_hat)
+    if lo > archive.floor:
+        archive.raise_floor(lo)
     i0, i1 = archive.index_range(lo, hi)
     occ = i1 - i0
     members = archive.members

@@ -152,6 +152,9 @@ def _read_pairs(path: Path) -> tuple[np.ndarray, np.ndarray, int | None, bool]:
     banner = text.partition("\n")[0].strip().lower().startswith("%%matrixmarket")
     is_mm = banner or path.suffix.lower() == ".mtx"
     data = np.frombuffer(text.encode("utf-8"), dtype=np.uint8)
+    # The text and the per-byte arrays below are each as long as the file;
+    # each is dropped once no longer needed, to keep the load's peak low.
+    del text
     cls = _BYTE_CLASS[data]
     space = cls == _SPACE
     begins = ~space
@@ -169,6 +172,7 @@ def _read_pairs(path: Path) -> tuple[np.ndarray, np.ndarray, int | None, bool]:
     stops = ~space
     stops[:-1] &= space[1:]
     token_bytes = np.flatnonzero(stops) - token_starts + 1
+    del stops
     first_token = np.searchsorted(token_starts, starts)
     counts = np.searchsorted(token_starts, ends) - first_token
     lead = data[token_starts[np.minimum(first_token, token_starts.size - 1)]]
@@ -178,7 +182,9 @@ def _read_pairs(path: Path) -> tuple[np.ndarray, np.ndarray, int | None, bool]:
     odd = cls == _OTHER
     odd[:-1] |= (cls[:-1] == _SIGN) & ~(begins[:-1] & (cls[1:] == _DIGIT))
     odd[-1] |= cls[-1] == _SIGN
+    del cls, begins
     slow = np.logical_or.reduceat(odd, starts)
+    del odd
     slow[np.searchsorted(ends, token_starts[token_bytes > _ARRAY_TOKEN_BYTES])] = True
     slow &= ~comment
     fast = (counts > 0) & ~comment & ~slow
@@ -188,9 +194,13 @@ def _read_pairs(path: Path) -> tuple[np.ndarray, np.ndarray, int | None, bool]:
     offsets = np.cumsum(fast_counts) - fast_counts
     values = np.empty(0, dtype=np.int64)
     if fast_lines.size:
-        keep = np.repeat(fast, np.diff(starts, append=data.size))
-        keep &= ~space
-        body = np.where(keep, data, np.uint8(ord(" ")))
+        # Blank every byte outside the tokens of the plain lines.
+        blank = np.repeat(~fast, np.diff(starts, append=data.size))
+        blank |= space
+        del space
+        body = data.copy()
+        body[blank] = ord(" ")
+        del blank
         values = np.fromstring(body.tobytes(), dtype=np.int64, sep=" ")
         if values.size != fast_counts.sum():
             raise RuntimeError(f"{path}: read {values.size} integers, expected {fast_counts.sum()}")

@@ -215,6 +215,82 @@ class TestArchiveRuns:
         assert all(r.peak_archive_size <= 44 for r in results)
 
 
+class TestWindowReleasesStates:
+    """SW-GSEMO drops the state of every member its window has passed."""
+
+    @staticmethod
+    def check_released(archive, floor):
+        # Only the last member below the floor can still be selected (as the
+        # empty window's fallback); every member under it is stateless.
+        members = archive.members
+        last = sum(m.g2 < floor for m in members) - 1
+        assert [m.state is None for m in members] == [i < last for i in range(len(members))]
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        data=st.data(),
+        n=st.integers(min_value=8, max_value=30),
+        weights=st.sampled_from(["iid", "degree"]),
+        surrogate=st.sampled_from(list(SurrogateKind)),
+        regime=st.sampled_from(list(G2Regime)),
+        t_max=st.integers(min_value=20, max_value=800),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_exactly_the_passed_members_are_stateless(
+        self, data, n, weights, surrogate, regime, t_max, seed
+    ):
+        from ccsubmod import algorithms
+
+        budget = data.draw(st.sampled_from([2.5, n / 4, n / 2 + 0.5, float(n - 1)]))
+        inst = small_instance(seed=seed, n=n, budget=budget, surrogate=surrogate, weights=weights)
+        original = ParetoArchive.insert
+        floor = [-math.inf]
+        inserts = []
+
+        def select(archive, t, t_max, budget, draw):
+            parent, in_window, occ = _sliding_select(archive, t, t_max, budget, draw)
+            floor[0] = math.floor((t / t_max) * budget)
+            self.check_released(archive, floor[0])
+            assert parent.state is not None
+            return parent, in_window, occ
+
+        def insert(archive, ind):
+            accepted = original(archive, ind)
+            self.check_released(archive, floor[0])
+            inserts.append(accepted)
+            return accepted
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(algorithms, "_sliding_select", select)
+            mp.setattr(ParetoArchive, "insert", insert)
+            result = run(inst, RunConfig(algorithm="sw-gsemo", t_max=t_max, seed=seed, regime=regime))
+        assert len(inserts) == t_max + 1
+        assert result.archive_size == len(result.final_objectives)
+
+    @pytest.mark.parametrize("regime, best_g1, archive_size", [
+        (G2Regime.SURROGATE, 14481.0, 2006),
+        (G2Regime.EXPECTED, 14500.0, 1927),
+    ])
+    def test_condmat_size_run_peak_stays_small(self, regime, best_g1, archive_size):
+        # A CondMat-size sweep (n = 21363, B = n // 10) grows the archive to
+        # about 2000 members in 6000 evaluations. With a state per member
+        # the run's traced peak is about 40 MB; with states for the window's
+        # members only it is under 1 MB.
+        import tracemalloc
+
+        graph = random_sparse_graph(21363, 91286, seed=1)
+        inst = Instance(graph=graph, weights=make_iid_weights(graph.n, 1, 0.5), budget=2136.0,
+                        alpha=0.1, surrogate=SurrogateKind.CHEBYSHEV)
+        tracemalloc.start()
+        try:
+            result = run(inst, RunConfig(algorithm="sw-gsemo", t_max=6000, seed=1, regime=regime))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert (result.best_g1, result.archive_size) == (best_g1, archive_size)
+        assert peak < 4 * 2**20
+
+
 class TestNsga2:
     def test_one_generation_creates_exactly_children_count(self):
         inst = small_instance(seed=12)
@@ -344,6 +420,9 @@ class TestCoverageMasks:
 
     @pytest.mark.parametrize("algorithm", ["gsemo", "sw-gsemo"])
     def test_members_hold_one_byte_per_node(self, monkeypatch, algorithm):
+        # Each member holds at most one array, its full n-byte state. GSEMO
+        # members all keep theirs; SW-GSEMO drops the states of the members
+        # its window has passed.
         from dataclasses import fields
 
         inst = small_instance(seed=21, n=30, budget=9.0, weights="degree")
@@ -351,20 +430,29 @@ class TestCoverageMasks:
         members = []
 
         def capture(self, ind):
+            bits = ind.state >> 1 if ind.state is not None else None
             accepted = original(self, ind)
             if accepted:
-                members.append(ind)
+                members.append((ind, bits))
             return accepted
 
         monkeypatch.setattr(ParetoArchive, "insert", capture)
         run(inst, RunConfig(algorithm=algorithm, t_max=500, seed=5))
         assert len(members) > 10
-        for ind in members:
+        held = 0
+        for ind, bits in members:
             arrays = [getattr(ind, f.name) for f in fields(ind)]
             arrays = [v for v in arrays if isinstance(v, np.ndarray)]
-            assert len(arrays) == 1
-            assert arrays[0].dtype == np.uint8 and arrays[0].shape == (inst.graph.n,)
-            assert arrays[0].nbytes == inst.graph.n
+            assert len(arrays) <= 1
+            if arrays:
+                held += 1
+                assert arrays[0].dtype == np.uint8 and arrays[0].shape == (inst.graph.n,)
+                assert arrays[0].nbytes == inst.graph.n
+                assert np.array_equal(arrays[0], full_state(inst.graph, bits)[0])
+        if algorithm == "gsemo":
+            assert held == len(members)
+        else:
+            assert 0 < held < len(members) // 2
 
     @settings(max_examples=80, deadline=None, derandomize=True)
     @given(
