@@ -61,6 +61,15 @@ TINY_GRAPHS = [
     (12, 14, 105, 12.0, 1500, "degree", "expected-g2"),
 ]
 
+# Long NSGA-II runs on the n = 2000 graph under a wide budget: (label,
+# surrogate, regime, budget, t_max, population, children). Selections grow
+# to many dozens of nodes (hundreds at mu = 20), and about one crossing
+# child in ten has parents that agree on every bit.
+LONG_NSGA2_CASES = [
+    ("long-mu100-lam50", "chebyshev", "surrogate-g2", 400.0, 20000, 100, 50),
+    ("long-mu20-lam10", "chernoff", "expected-g2", 400.0, 20000, 20, 10),
+]
+
 
 def cases() -> list[dict]:
     out = []
@@ -90,6 +99,14 @@ def cases() -> list[dict]:
             "B": budget, "alpha": ALPHA, "surrogate": surrogate, "algorithm": algorithm,
             "regime": regime, "t_max": t_max, "seed": [graph_seed, len(out)],
             "population": 20, "children": 10,
+        })
+    n, m, graph_seed, _, _ = GRAPHS[2]
+    for label, surrogate, regime, budget, t_max, population, children in LONG_NSGA2_CASES:
+        out.append({
+            "n": n, "m": m, "graph_seed": graph_seed, "weights": "iid", "d": D,
+            "B": budget, "alpha": ALPHA, "surrogate": surrogate, "algorithm": "nsga2",
+            "regime": regime, "t_max": t_max, "seed": [graph_seed, len(out)],
+            "population": population, "children": children, "label": label,
         })
     return out
 

@@ -3,8 +3,9 @@
 ``tests/data/golden_runs.json`` holds gsemo, sw-gsemo and nsga2 runs over
 both surrogates, both g2 regimes and both weight models on three random
 graphs, plus labelled NSGA-II cases with other population sizes, budgets
-and tail bounds, and every algorithm under both surrogates on two graphs
-with n = 10 and n = 12. Regenerate it with ``tests/data/make_golden_runs.py`` only when a
+and tail bounds, every algorithm under both surrogates on two graphs
+with n = 10 and n = 12, and two 20k-evaluation NSGA-II runs on the n = 2000
+graph whose selections grow wide. Regenerate it with ``tests/data/make_golden_runs.py`` only when a
 change is meant to alter results.
 """
 
