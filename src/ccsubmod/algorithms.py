@@ -213,7 +213,7 @@ class ParetoArchive:
 # Variation
 # ---------------------------------------------------------------------------
 
-def _mutation_positions(n: int, rng: np.random.Generator, draw: Callable[[int], int]) -> np.ndarray:
+def _mutation_positions(n: int, rng: np.random.Generator, draw: Callable[[int], int]) -> list[int]:
     """Distinct positions to flip; each bit flips independently w.p. 1/n.
 
     Sampling the flip count from Binomial(n, 1/n) and then a uniform
@@ -226,32 +226,33 @@ def _mutation_positions(n: int, rng: np.random.Generator, draw: Callable[[int], 
     ``rng.integers(0, n, size=k)`` call, so seeded runs reproduce the sized
     draw's results; ``tests/test_mutation.py`` checks this against the sized
     draw. The positions depend only on PCG64's ``next_uint32``, not on how
-    ``Generator.integers`` is implemented. They are an int64 array.
+    ``Generator.integers`` is implemented. They are a list of ints: each
+    caller walks them one by one, so an array would only be unpacked again.
     """
     k = int(rng.binomial(n, 1.0 / n))
     if k == 0:
-        return _EMPTY_POSITIONS
+        return []
     if k == 1:
-        return np.array([draw(n)])
+        return [draw(n)]
     if k * (k - 1) >= n:
-        return rng.permutation(n)[:k]
+        return rng.permutation(n)[:k].tolist()
     while True:
         pos = [draw(n) for _ in range(k)]
         if len(set(pos)) == k:
-            return np.array(pos)
+            return pos
 
 
 _EMPTY_POSITIONS = np.empty(0, dtype=np.int64)
 
 
-def _spawn_child(parent: Individual, pos: np.ndarray, expected_arr: np.ndarray) -> tuple[int, float]:
+def _spawn_child(parent: Individual, pos: list[int], expected_arr: np.ndarray) -> tuple[int, float]:
     """The child's (size, expected), updated from the parent's after flips.
 
     The integer means keep ``expected`` an exact sum.
     """
     state = parent.state
     size, expected = parent.size, parent.expected
-    for p in pos.tolist():
+    for p in pos:
         weight = expected_arr.item(p)
         if state.item(p) & 2:
             size -= 1
@@ -263,7 +264,7 @@ def _spawn_child(parent: Individual, pos: np.ndarray, expected_arr: np.ndarray) 
 
 
 def _offspring(
-    evaluator: Evaluator, parent: Individual, pos: np.ndarray, expected_arr: np.ndarray
+    evaluator: Evaluator, parent: Individual, pos: list[int], expected_arr: np.ndarray
 ) -> Individual:
     """Scored child of the feasible ``parent`` with ``pos`` flipped."""
     size, expected = _spawn_child(parent, pos, expected_arr)
@@ -432,7 +433,7 @@ def _run_archive_loop(
     t_max = cfg.t_max
 
     # The empty selection is feasible, as the budget is positive.
-    g1, g2, state = evaluator.evaluate_from_stats(0, 0.0, np.zeros(n, dtype=np.uint8), _EMPTY_POSITIONS)
+    g1, g2, state = evaluator.evaluate_from_stats(0, 0.0, np.zeros(n, dtype=np.uint8), [])
     root = Individual(state=state, size=0, expected=0.0, g1=g1, g2=g2)
     archive = ParetoArchive()
     archive.insert(root)
@@ -445,7 +446,7 @@ def _run_archive_loop(
         else:
             parent, in_window, occ = archive.uniform_member(draw), False, 0
         pos = _mutation_positions(n, rng, draw)
-        if len(pos) == 0:
+        if not pos:
             # Offspring identical to parent: re-inserting the parent changes
             # nothing, but the iteration still counts as one evaluation.
             child = parent
@@ -624,16 +625,20 @@ def _run_nsga2(
         # np.flatnonzero(p1_bits != p2_bits) would list them.
         diff = _odd_keys(np.concatenate([firsts, _tagged(population, parents_b, child_ids, n)]))
         bounds = np.searchsorted(diff, child_starts).tolist()
-        flips = [firsts]
+        # Uniform crossover flips p1's bits where p2's are taken: where a
+        # crossing child's uniform draw falls below 1/2. The other entries
+        # keep 1. Parents that agree leave nothing to draw, and
+        # rng.random(0) would draw nothing, so it is not called. Mutation
+        # flips are gathered as keys in one list.
+        draws = np.ones(len(diff))
+        mutated = []
         for i, cross in enumerate(do_cross.tolist()):
-            if cross:
-                # Uniform crossover flips p1's bits where p2's are taken.
-                d = diff[bounds[i] : bounds[i + 1]]
-                flips.append(d[rng.random(len(d)) < 0.5])
-            pos = _mutation_positions(n, rng, draw)
-            if len(pos):
-                flips.append(pos + i * n)
-        keys = _odd_keys(np.concatenate(flips))
+            lo, hi = bounds[i], bounds[i + 1]
+            if cross and hi > lo:
+                rng.random(out=draws[lo:hi])
+            offset = i * n
+            mutated += [offset + p for p in _mutation_positions(n, rng, draw)]
+        keys = _odd_keys(np.concatenate([firsts, diff[draws < 0.5], np.array(mutated, dtype=np.int64)]))
         owners = keys // n
         nodes = keys - owners * n
         g1, g2 = evaluator.evaluate_groups(nodes, owners, lam)

@@ -112,7 +112,7 @@ class Evaluator:
         return (sg if self.regime is G2Regime.SURROGATE else expected), sg <= self.budget
 
     def evaluate_from_stats(
-        self, size: int, expected: float, parent_state: np.ndarray, flipped: np.ndarray
+        self, size: int, expected: float, parent_state: np.ndarray, flipped: list[int]
     ) -> Scored:
         """Score the child of a selection, given its size and expected weight.
 

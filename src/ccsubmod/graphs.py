@@ -6,7 +6,8 @@ formats used by the network data repository). Node ids are normalized to
 neighbors) is one row of a CSR array, with the node itself first, so its
 open neighborhood is the rest of the row.
 
-Loading takes a few passes over whole arrays. The file's text is scanned
+Loading takes a few passes over whole arrays, and a file that asks for
+2**32 nodes or more is rejected before they are allocated. The file's text is scanned
 as bytes to find its lines, tokens and comment lines, and the integer
 tokens of all plain lines are converted by one numpy call; only lines
 with unusual content go through Python's ``int``. The CSR build sorts one
@@ -21,7 +22,10 @@ is the count of nonzero bytes. An update after a few flips marks the rows
 of added nodes and rechecks the row of each removed node, so it costs the
 rows around the flipped nodes instead of the whole selection. Many small
 selections at once are counted without masks, from the rows of their
-selected nodes.
+selected nodes: one sort of the keys ``group * n + node`` puts every repeat
+next to its first copy. The keys are 32-bit whenever all of them and the
+group boundaries fit, since numpy sorts those about twice as fast as
+64-bit keys; the CSR arrays themselves stay int64.
 """
 
 from __future__ import annotations
@@ -131,6 +135,10 @@ _BYTE_CLASS[list(b"+-")] = _SIGN
 # array parse cannot clamp it. A longer one is read by int().
 _ARRAY_TOKEN_BYTES = 18
 _INT64 = np.iinfo(np.int64)
+# No run can index 2**32 nodes or more (the index draw takes bounds below
+# 2**32), so a file that asks for that many is rejected before anything is
+# allocated for them.
+_MAX_NODES = 2**32 - 1
 
 
 def _read_pairs(path: Path) -> tuple[np.ndarray, np.ndarray, int | None, bool]:
@@ -212,9 +220,11 @@ def _read_pairs(path: Path) -> tuple[np.ndarray, np.ndarray, int | None, bool]:
         raise GraphFormatError(f"{path}:{i + 1}: {message}")
 
     # The first faulty line is reported: one with a single integer, a token
-    # int() rejects, or a u or v beyond int64. Lines past the first plain
-    # line with a single integer need not be read.
+    # int() rejects, a u or v beyond int64, or a size header that declares
+    # too many nodes. Lines past the first plain line with a single integer
+    # need not be read.
     short = fast_lines[fast_counts < 2]
+    faults: list[tuple[int, str]] = []
     rows: dict[int, list[int]] = {}
     for i in np.flatnonzero(slow).tolist():
         if short.size and i > short[0]:
@@ -225,35 +235,51 @@ def _read_pairs(path: Path) -> tuple[np.ndarray, np.ndarray, int | None, bool]:
         try:
             row = [int(t) for t in line.split()]
         except ValueError:
-            fail(i, f"non-integer token in {line!r}")
+            faults.append((i, f"non-integer token in {line!r}"))
+            break
         if len(row) < 2:
-            fail(i, f"expected an integer pair, got {line!r}")
+            faults.append((i, f"expected an integer pair, got {line!r}"))
+            break
         if not all(_INT64.min <= x <= _INT64.max for x in row[:2]):
-            fail(i, f"id or size beyond int64 in {line!r}")
+            faults.append((i, f"id or size beyond int64 in {line!r}"))
+            break
         rows[i] = row
     if short.size:
-        fail(int(short[0]), f"expected an integer pair, got {line_text(int(short[0]))!r}")
+        faults.append((int(short[0]), f"expected an integer pair, got {line_text(int(short[0]))!r}"))
 
     # Only the first data line can be a size header: "rows cols nnz" in
     # Matrix-Market files and, elsewhere, only the "n n m" line
     # save_edge_list writes. Any other three-integer line is a weighted edge.
+    # A fault found above on an earlier line still comes first.
     declared, header = None, -1
     if fast_lines.size or rows:
         header = min(fast_lines[:1].tolist() + list(rows)[:1])
         head = rows[header] if header in rows else values[: fast_counts[0]].tolist()
         if len(head) == 3 and (is_mm or head[0] == head[1]):
             declared = max(head[:2])
+            if declared > _MAX_NODES:
+                faults.append((header, f"size header declares {declared} nodes; the limit is 2**32 - 1"))
         else:
             header = -1
+    if faults:
+        fail(*min(faults))
 
-    # Coordinate files may carry a value column; anything past u v is ignored.
-    at = offsets[fast_lines != header]
-    pairs = np.concatenate([
-        np.column_stack([values[at], values[at + 1]]),
-        np.array([row[:2] for i, row in rows.items() if i != header], dtype=np.int64).reshape(-1, 2),
-    ])
-    slow_lines = np.array([i for i in rows if i != header], dtype=np.int64)
-    lines = np.concatenate([fast_lines[fast_lines != header], slow_lines]) + 1
+    # The pairs fill one array once the per-byte, per-token and per-line
+    # arrays are gone. Coordinate files may carry a value column; anything
+    # past u v is ignored.
+    del data, token_starts, token_bytes, starts, ends, first_token, counts
+    keep = fast_lines != header
+    fast_lines, at = fast_lines[keep], offsets[keep]
+    del fast_counts, offsets
+    slow_lines = [i for i in rows if i != header]
+    pairs = np.empty((fast_lines.size + len(slow_lines), 2), dtype=np.int64)
+    pairs[: fast_lines.size, 0] = values[at]
+    at += 1
+    pairs[: fast_lines.size, 1] = values[at]
+    del values, at
+    for k, i in enumerate(slow_lines, start=fast_lines.size):
+        pairs[k] = rows[i][:2]
+    lines = np.concatenate([fast_lines, np.array(slow_lines, dtype=np.int64)]) + 1
     return pairs, lines, declared, is_mm
 
 
@@ -268,15 +294,21 @@ def load_graph(path: str | Path) -> Graph:
     column is ignored (but must be an integer). Ids and header sizes must
     fit int64. Self loops are dropped, duplicate edges are merged, and the
     node count is ``max(declared header size, largest id + 1)`` so that
-    isolated trailing nodes declared by the header survive. A malformed
-    file raises :class:`GraphFormatError` naming ``path:line``.
+    isolated trailing nodes declared by the header survive; it must be
+    below 2**32. A malformed file raises
+    :class:`GraphFormatError` naming ``path:line``.
     """
     path = Path(path)
     edges, lines, declared, is_mm = _read_pairs(path)
     base = 1 if is_mm or not (edges == 0).any() else 0
-    below = (edges < base).any(axis=1)
-    if below.any():
-        raise GraphFormatError(f"{path}:{lines[below].min()}: node id below the indexing base")
+    bad = ((edges < base) | (edges >= _MAX_NODES + base)).any(axis=1)
+    if bad.any():
+        first = np.flatnonzero(bad)[np.argmin(lines[bad])]
+        where = f"{path}:{lines[first]}"
+        if edges[first].min() < base:
+            raise GraphFormatError(f"{where}: node id below the indexing base")
+        top = int(edges[first].max())
+        raise GraphFormatError(f"{where}: node id {top} needs {top - base + 1} nodes; the limit is 2**32 - 1")
     edges -= base
     n = max(declared or 0, int(edges.max()) + 1 if edges.size else 0)
     if n == 0:
@@ -330,31 +362,34 @@ def coverage_of_groups(graph: Graph, nodes: np.ndarray, groups: np.ndarray, coun
     Selection g holds ``nodes[groups == g]``. The rows of all nodes are
     tagged with their group as keys ``group * n + node`` and counted once
     each, so the scratch memory is proportional to the total row length,
-    not to ``count * n``.
+    not to ``count * n``. The keys are int32 whenever ``count * n`` fits
+    (numpy sorts them about twice as fast as int64), and int64 otherwise.
     """
     if len(nodes) == 0:
         return np.zeros(count, dtype=np.int64)
+    key = np.int32 if count * graph.n < 2**31 else np.int64
     covered, _, lengths = _rows(graph, nodes)
-    keys = np.repeat(groups * np.int64(graph.n), lengths) + covered
+    keys = np.add(np.repeat(groups * graph.n, lengths), covered, dtype=key, casting="unsafe")
     keys.sort()
     first = np.empty(len(keys), dtype=bool)
     first[0] = True
     np.not_equal(keys[1:], keys[:-1], out=first[1:])
-    edges = keys[first].searchsorted(np.arange(count + 1) * np.int64(graph.n))
+    edges = keys[first].searchsorted(np.arange(count + 1, dtype=key) * key(graph.n))
     return edges[1:] - edges[:-1]
 
 
-def update_coverage(graph: Graph, state: np.ndarray, flipped: np.ndarray) -> None:
+def update_coverage(graph: Graph, state: np.ndarray, flipped: list[int]) -> None:
     """Turn a parent's state into its child's, in place.
 
     ``state`` is the parent's uint8 state (2 selected, 1 covered) and
-    ``flipped`` the distinct nodes whose selection flips. An added node
+    ``flipped`` the distinct nodes whose selection flips, as a list of ints
+    (or any sequence of node ids). An added node
     covers its row. A node in the row of a removed node stays covered only
     if its own row still holds a selected node.
     """
     indptr, indices = graph.indptr, graph.indices
     lost = []
-    for v in flipped.tolist():
+    for v in flipped:
         row = indices[indptr[v] : indptr[v + 1]]
         if state.item(v) & 2:
             state[v] = 1

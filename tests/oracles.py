@@ -56,8 +56,10 @@ def reference_load(path) -> tuple[int, list[tuple[int, int]]]:
     when its first two values are equal. Any other line needs at least two
     integers, of which the first two (u and v) must fit int64. Ids are
     1-based in Matrix-Market files and in other files with no 0 among u and
-    v, otherwise 0-based; an id below the base names the first line holding
-    one. The node count is ``max(declared size, largest id + 1)``.
+    v, otherwise 0-based; an id below the base, or one that needs 2**32
+    nodes or more, names the first line holding one, as does a size header
+    that declares that many. The node count is
+    ``max(declared size, largest id + 1)``.
     """
     path = Path(path)
     is_mm = path.suffix.lower() == ".mtx"
@@ -83,6 +85,10 @@ def reference_load(path) -> tuple[int, list[tuple[int, int]]]:
                 raise GraphFormatError(f"{path}:{lineno}: id or size beyond int64 in {line!r}")
             if first_data and len(values) == 3 and (is_mm or values[0] == values[1]):
                 declared = max(values[0], values[1])
+                if declared >= 2**32:
+                    raise GraphFormatError(
+                        f"{path}:{lineno}: size header declares {declared} nodes; the limit is 2**32 - 1"
+                    )
             else:
                 pairs.append((values[0], values[1]))
                 lines.append(lineno)
@@ -91,6 +97,10 @@ def reference_load(path) -> tuple[int, list[tuple[int, int]]]:
     for (u, v), lineno in zip(pairs, lines):
         if min(u, v) < base:
             raise GraphFormatError(f"{path}:{lineno}: node id below the indexing base")
+        if max(u, v) - base + 1 >= 2**32:
+            raise GraphFormatError(
+                f"{path}:{lineno}: node id {max(u, v)} needs {max(u, v) - base + 1} nodes; the limit is 2**32 - 1"
+            )
     n = max(declared or 0, max((max(pair) - base + 1 for pair in pairs), default=0))
     if n == 0:
         raise GraphFormatError(f"{path}: no nodes (empty file without size header)")

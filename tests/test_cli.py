@@ -1,4 +1,5 @@
 import json
+import resource
 import subprocess
 import sys
 
@@ -8,11 +9,19 @@ from ccsubmod import save_edge_list
 from conftest import random_sparse_graph
 
 
-def cli(*args):
+def cli(*args, address_space=None):
+    """Exit code, stdout and stderr of one CLI call; ``address_space``, in
+    bytes, caps the child's virtual memory, so that a call that tries a huge
+    allocation fails with ``MemoryError`` instead of taking the memory."""
+
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (address_space, address_space))
+
     proc = subprocess.run(
         [sys.executable, "-m", "ccsubmod.cli", *args],
         capture_output=True,
         text=True,
+        preexec_fn=cap if address_space else None,
     )
     return proc.returncode, proc.stdout, proc.stderr
 
@@ -81,6 +90,25 @@ class TestRun:
         assert out == ""
         assert err.startswith("configuration error:")
         assert f"{graph}:2: id or size beyond int64" in err
+
+    # Files that ask for 2**32 nodes or more, which no run can index. Before
+    # the loader's limit, the first exited 1 with an OverflowError and the
+    # others asked for 32 GiB or more, so the CLI runs under a 4 GiB cap.
+    @pytest.mark.parametrize("name, text, where", [
+        ("zero-based.txt", "0 9223372036854775807\n", ":1: node id 9223372036854775807 needs"),
+        ("zero-based.txt", "1 2\n0 4294967296\n", ":2: node id 4294967296 needs 4294967297 nodes"),
+        ("header.mtx", "%%MatrixMarket matrix coordinate pattern symmetric\n4294967296 4294967296 1\n1 2\n",
+         ":2: size header declares 4294967296 nodes"),
+    ])
+    def test_node_count_of_2_to_the_32_is_config_error(self, tmp_path, name, text, where):
+        graph = tmp_path / name
+        graph.write_text(text)
+        code, out, err = cli("run", "--graph", str(graph), *RUN_FLAGS, address_space=4 << 30)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("configuration error:")
+        assert f"{graph}{where}" in err
+        assert "the limit is 2**32 - 1" in err
 
     # A repeated flag overrides the earlier one in RUN_FLAGS.
     @pytest.mark.parametrize("flag", ["--weights", "--surrogate", "--regime"])

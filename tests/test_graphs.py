@@ -1,3 +1,4 @@
+import re
 import sys
 from pathlib import Path
 
@@ -7,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ccsubmod import Graph, GraphFormatError, load_graph, save_edge_list
-from ccsubmod.graphs import coverage_of_indices, update_coverage
+from ccsubmod.graphs import coverage_of_groups, coverage_of_indices, update_coverage
 from conftest import GRAPHS, random_sparse_graph
 from oracles import (
     adjacency_lists,
@@ -135,6 +136,53 @@ class TestLoadGraph:
         p = write(tmp_path, "g.mtx", "3 3 2\n1 2\n\n0 3\n")
         with pytest.raises(GraphFormatError, match=r"g\.mtx:4: node id below the indexing base"):
             load_graph(p)
+
+    def test_node_count_of_2_to_the_32_raises_naming_its_line(self, tmp_path):
+        # Only files at or past the limit: one just below it would build a
+        # graph of billions of nodes. A size header is judged where it is
+        # read; ids are judged after the whole file, like the indexing base.
+        cases = {
+            "g.txt": {
+                "1 4294967296\n": ":1: node id 4294967296 needs 4294967296 nodes",
+                "0 1\n% c\n4294967295 2\n": ":3: node id 4294967295 needs 4294967296 nodes",
+                "0 1\n3 -1\n1 4294967296\n": ":2: node id below the indexing base",
+                "1 4294967296\n2 x\n": ":2: non-integer token",
+                "4294967296 4294967296 1\n1 x\n": ":1: size header declares 4294967296 nodes",
+            },
+            "g.mtx": {
+                "% c\n1 4294967296 3\n5\n": ":2: size header declares 4294967296 nodes",
+                "3 3 1\n1 9223372036854775807\n": ":2: node id 9223372036854775807 needs",
+            },
+        }
+        for name, texts in cases.items():
+            for text, where in texts.items():
+                path = write(tmp_path, name, text)
+                for load in (load_graph, reference_load):
+                    with pytest.raises(GraphFormatError, match=re.escape(f"{path}{where}")):
+                        load(path)
+
+    def test_read_peak_stays_near_thirteen_bytes_per_file_byte(self, tmp_path):
+        # About 1 MB of "u v" lines at CondMat size (n = 21363). The parse
+        # peaks at about 13.0 bytes of traced memory per file byte, while
+        # the per-token arrays are alive; filling the pairs into one array
+        # after they are freed stays below that. Assembling the pairs while
+        # they were alive peaked at about 15.5. The bound leaves 8% margin.
+        import tracemalloc
+
+        rng = np.random.default_rng(12)
+        pairs = rng.integers(1, 21364, size=(90_000, 2))
+        path = tmp_path / "g.txt"
+        path.write_text("".join(f"{u} {v}\n" for u, v in pairs.tolist()))
+        size = path.stat().st_size
+        assert 0.9e6 < size < 1.1e6
+        tracemalloc.start()
+        try:
+            graph = load_graph(path)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert graph.n == int(pairs.max())
+        assert peak < 14 * size
 
     def test_python_integer_spellings(self, tmp_path):
         # Tokens mean what int() makes of them, and str.split() whitespace
@@ -408,3 +456,31 @@ class TestIncrementalCoverage:
         covered = np.zeros(g.n, dtype=bool)
         assert coverage_of_indices(g, np.array([1, 11]), covered) == 4
         assert np.flatnonzero(covered).tolist() == [0, 1, 2, 11]
+
+
+class TestCoverageOfGroups:
+    # count * n = 32767 * 65536 is just below 2**31, so the keys are int32;
+    # at count = 32768 the last group boundary, count * n = 2**31, needs
+    # int64. A few groups hold nodes, among them the highest node in the
+    # last group, which makes the largest key.
+    @pytest.mark.parametrize("count", [32767, 32768])
+    def test_matches_set_oracle_on_both_sides_of_the_int32_bound(self, count):
+        n = 65536
+        rng = np.random.default_rng(count)
+        edges = np.concatenate([rng.integers(0, n, size=(300, 2)), [[0, n - 1], [n - 2, n - 1]]])
+        g = Graph.from_edges(n, edges)
+        touched = np.unique(edges)
+        selections = {}
+        for group in (0, 1, count // 2, count - 1):
+            picked = rng.choice(touched, size=12, replace=False).tolist()
+            selections[group] = sorted(set(picked) | ({n - 1} if group == count - 1 else set()))
+        groups = np.repeat(list(selections), [len(s) for s in selections.values()])
+        nodes = np.concatenate([np.array(s, dtype=np.int64) for s in selections.values()])
+        got = coverage_of_groups(g, nodes, groups, count)
+        assert got.shape == (count,)
+        adjacency = {v: g.neighbors(v).tolist() for v in touched.tolist()}
+        for group, selection in selections.items():
+            bits = np.zeros(n, dtype=np.uint8)
+            bits[selection] = 1
+            assert got[group] == naive_coverage(adjacency, bits)
+        assert np.count_nonzero(np.delete(got, list(selections))) == 0
