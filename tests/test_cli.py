@@ -91,9 +91,10 @@ class TestRun:
         assert err.startswith("configuration error:")
         assert f"{graph}:2: id or size beyond int64" in err
 
-    # Files that ask for 2**32 nodes or more, which no run can index. Before
-    # the loader's limit, the first exited 1 with an OverflowError and the
-    # others asked for 32 GiB or more, so the CLI runs under a 4 GiB cap.
+    # Files that ask for 2**32 nodes or more, which no run can index.
+    # Without the loader's limit the first would exit 1 with an
+    # OverflowError and the others would ask for 32 GiB or more, so the CLI
+    # runs under a 4 GiB cap.
     @pytest.mark.parametrize("name, text, where", [
         ("zero-based.txt", "0 9223372036854775807\n", ":1: node id 9223372036854775807 needs"),
         ("zero-based.txt", "1 2\n0 4294967296\n", ":2: node id 4294967296 needs 4294967297 nodes"),

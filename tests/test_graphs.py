@@ -166,7 +166,8 @@ class TestLoadGraph:
         # peaks at about 13.0 bytes of traced memory per file byte, while
         # the per-token arrays are alive; filling the pairs into one array
         # after they are freed stays below that. Assembling the pairs while
-        # they were alive peaked at about 15.5. The bound leaves 8% margin.
+        # those arrays are alive peaks at about 15.5. The bound leaves 8%
+        # margin above 13.0.
         import tracemalloc
 
         rng = np.random.default_rng(12)
