@@ -23,6 +23,13 @@ and spend exactly one fitness evaluation per offspring (plus one for the
 initial individual). :func:`run` sets each run up and builds every
 :class:`RunResult`; a traced archive-based run adds one :data:`TRACE_DTYPE`
 record per iteration.
+
+Coverage is monotone and submodular, so a GSEMO or SW-GSEMO child that adds
+the nodes A to its parent covers at most ``parent.g1 + sum(|N[v]| for v in
+A)`` nodes. When the archive would reject a feasible child even at that
+bound, the child is counted as an evaluation but its coverage is bounded,
+not computed: the archive and the best solution are what scoring it would
+leave. A traced run scores every child, so that its g1 column is exact.
 """
 
 from __future__ import annotations
@@ -145,22 +152,33 @@ class ParetoArchive:
     def __len__(self) -> int:
         return len(self.members)
 
+    def rejects(self, g1: float, g2: float) -> bool:
+        """Whether some member strictly dominates the objective pair (g1, g2).
+
+        If it rejects (g1, g2), it rejects (g1', g2) for every g1' <= g1.
+        """
+        i = bisect_right(self._g2, g2) - 1
+        if i < 0:
+            return False
+        # The staircase makes m the best potential dominator: it has the
+        # largest g1 among members with g2 <= the given g2.
+        m = self.members[i]
+        return m.g1 >= g1 and (m.g2 < g2 or m.g1 > g1)
+
     def insert(self, ind: Individual) -> bool:
         """Insert unless strictly dominated; drop weakly dominated members.
 
-        Returns True when the individual was accepted.
+        Returns True when the individual was accepted. Re-inserting a member
+        (a zero-flip child is its own parent) accepts it and changes nothing.
         """
+        if self.rejects(ind.g1, ind.g2):
+            return False
         g2s = self._g2
-        i = bisect_right(g2s, ind.g2) - 1
-        if i >= 0:
-            m = self.members[i]
-            # The staircase makes m the best potential dominator: it has the
-            # largest g1 among members with g2 <= ind.g2.
-            if m.g1 >= ind.g1 and (m.g2 < ind.g2 or m.g1 > ind.g1):
-                return False
         j = bisect_left(g2s, ind.g2)
-        j2 = j
         nmem = len(g2s)
+        if j < nmem and self.members[j] is ind:
+            return True
+        j2 = j
         while j2 < nmem and self.members[j2].g1 <= ind.g1:
             j2 += 1
         if j2 > j:
@@ -245,13 +263,20 @@ def _mutation_positions(n: int, rng: np.random.Generator, draw: Callable[[int], 
 _EMPTY_POSITIONS = np.empty(0, dtype=np.int64)
 
 
-def _spawn_child(parent: Individual, pos: list[int], expected_arr: np.ndarray) -> tuple[int, float]:
-    """The child's (size, expected), updated from the parent's after flips.
+def _spawn_child(
+    parent: Individual, pos: list[int], expected_arr: np.ndarray, row_sizes: np.ndarray
+) -> tuple[int, float, int]:
+    """The child's (size, expected, gain), updated from the parent's after flips.
 
-    The integer means keep ``expected`` an exact sum.
+    The integer means keep ``expected`` an exact sum. ``row_sizes`` holds
+    each node's closed-neighborhood size (its degree plus 1), and ``gain``
+    sums it over the added nodes. Coverage is monotone and submodular, so
+    adding those nodes and removing the others covers at most ``gain``
+    nodes more than the parent: the child's g1, if feasible, is at most
+    ``parent.g1 + gain``.
     """
     state = parent.state
-    size, expected = parent.size, parent.expected
+    size, expected, gain = parent.size, parent.expected, 0
     for p in pos:
         weight = expected_arr.item(p)
         if state.item(p) & 2:
@@ -260,15 +285,23 @@ def _spawn_child(parent: Individual, pos: list[int], expected_arr: np.ndarray) -
         else:
             size += 1
             expected += weight
-    return size, expected
+            gain += row_sizes.item(p)
+    return size, expected, gain
 
 
 def _offspring(
-    evaluator: Evaluator, parent: Individual, pos: list[int], expected_arr: np.ndarray
+    evaluator: Evaluator,
+    parent: Individual,
+    pos: list[int],
+    size: int,
+    expected: float,
+    g2: float,
+    feasible: bool,
 ) -> Individual:
-    """Scored child of the feasible ``parent`` with ``pos`` flipped."""
-    size, expected = _spawn_child(parent, pos, expected_arr)
-    g1, g2, state = evaluator.evaluate_from_stats(size, expected, parent.state, pos)
+    """Scored child of the feasible ``parent`` with ``pos`` flipped, given
+    the child's size and expected weight and what
+    :meth:`~ccsubmod.chance.Evaluator.constraint` returns for them."""
+    g1, g2, state = evaluator.evaluate_from_stats(g2, feasible, parent.state, pos)
     return Individual(state=state, size=size, expected=expected, g1=g1, g2=g2)
 
 
@@ -433,12 +466,16 @@ def _run_archive_loop(
     t_max = cfg.t_max
 
     # The empty selection is feasible, as the budget is positive.
-    g1, g2, state = evaluator.evaluate_from_stats(0, 0.0, np.zeros(n, dtype=np.uint8), [])
+    g1, g2, state = evaluator.evaluate_from_stats(*evaluator.constraint(0, 0.0), np.zeros(n, dtype=np.uint8), [])
     root = Individual(state=state, size=0, expected=0.0, g1=g1, g2=g2)
     archive = ParetoArchive()
     archive.insert(root)
     best = root
     trace = np.zeros(t_max, TRACE_DTYPE).view(np.recarray) if cfg.trace else None
+    # A traced run scores every child, so that its g1 column is exact.
+    bounded = trace is None
+    row_sizes = instance.graph.degrees + 1
+    constraint = evaluator.constraint
 
     for t in range(1, t_max + 1):
         if sliding:
@@ -452,7 +489,16 @@ def _run_archive_loop(
             child = parent
             evaluator.evaluations += 1
         else:
-            child = _offspring(evaluator, parent, pos, expected_arr)
+            size, expected, gain = _spawn_child(parent, pos, expected_arr, row_sizes)
+            g2, feasible = constraint(size, expected)
+            if bounded and feasible and archive.rejects(parent.g1 + gain, g2):
+                # The archive rejects the child at its coverage bound, so at
+                # its exact coverage too. A member then covers at least as
+                # much, so the child is no new best either. It counts as one
+                # evaluation.
+                evaluator.evaluations += 1
+                continue
+            child = _offspring(evaluator, parent, pos, size, expected, g2, feasible)
         accepted = archive.insert(child)
         if child.g1 > best.g1:
             best = child

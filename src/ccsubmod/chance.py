@@ -86,9 +86,10 @@ class Evaluator:
     """Per-(instance, regime) fitness evaluator with precomputed constants.
 
     The evaluation count is the budget currency of every optimizer run, so
-    this object also tracks how many selections it has scored. Coverage is
-    only computed for feasible selections; infeasible ones short-circuit to
-    the sentinel.
+    this object also tracks how many selections it has scored; the archive
+    loop adds the children whose coverage it bounds instead of scoring them.
+    Coverage is only computed for feasible selections; infeasible ones
+    short-circuit to the sentinel.
     """
 
     def __init__(self, instance: Instance, regime: G2Regime = G2Regime.SURROGATE):
@@ -106,25 +107,26 @@ class Evaluator:
         sum to ``expected``; it rises strictly with the size when d > 0."""
         return expected + self.tail_coefficient * math.sqrt(size)
 
-    def _constraint(self, size: int, expected: float) -> tuple[float, bool]:
-        """g2 of a selection and whether its surrogate weight fits the budget."""
+    def constraint(self, size: int, expected: float) -> tuple[float, bool]:
+        """g2 of a selection with ``size`` elements whose means sum to
+        ``expected``, and whether its surrogate weight fits the budget."""
         sg = self.surrogate_from(expected, size)
         return (sg if self.regime is G2Regime.SURROGATE else expected), sg <= self.budget
 
     def evaluate_from_stats(
-        self, size: int, expected: float, parent_state: np.ndarray, flipped: list[int]
+        self, g2: float, feasible: bool, parent_state: np.ndarray, flipped: list[int]
     ) -> Scored:
-        """Score the child of a selection, given its size and expected weight.
+        """Score the child of a selection, given what :meth:`constraint`
+        returns for the child's size and expected weight.
 
-        ``expected`` must equal the exact integer sum of selected means (the
-        optimizers maintain it incrementally; integer arithmetic in float64
-        keeps it exact). The child is ``parent_state`` (see
+        The expected weight must equal the exact integer sum of selected
+        means (the optimizers maintain it incrementally; integer arithmetic
+        in float64 keeps it exact). The child is ``parent_state`` (see
         :func:`~ccsubmod.graphs.update_coverage`) with the nodes ``flipped``
         flipped; a feasible child's state is updated from a copy of it and
         returned read-only.
         """
         self.evaluations += 1
-        g2, feasible = self._constraint(size, expected)
         if not feasible:
             return Scored(INFEASIBLE_G1, g2, None)
         state = parent_state.copy()
@@ -159,5 +161,5 @@ class Evaluator:
             raise ValueError(f"bit vector length {x.shape} != model size {self.model.n}")
         idx = np.flatnonzero(x)
         self.evaluations += 1
-        g2, feasible = self._constraint(len(idx), float(self.model.expected[idx].sum()))
+        g2, feasible = self.constraint(len(idx), float(self.model.expected[idx].sum()))
         return Objectives(float(coverage_of_indices(self.graph, idx)) if feasible else INFEASIBLE_G1, g2)

@@ -6,11 +6,13 @@ formats used by the network data repository). Node ids are normalized to
 neighbors) is one row of a CSR array, with the node itself first, so its
 open neighborhood is the rest of the row.
 
-Loading takes a few passes over whole arrays, and a file that asks for
-2**32 nodes or more is rejected before they are allocated. The file's text is scanned
-as bytes to find its lines, tokens and comment lines, and the integer
-tokens of all plain lines are converted by one numpy call; only lines
-with unusual content go through Python's ``int``. The CSR build sorts one
+Loading takes a few passes over whole arrays. A file that asks for 2**32
+nodes or more is rejected before they are allocated, and so is a graph of
+more than 3037000499 nodes; one that does not fit in memory is reported as
+a malformed file. The file's text is scanned as bytes to find its lines,
+tokens and comment lines, and the integer tokens of all plain lines are
+converted by one numpy call; only lines with unusual content go through
+Python's ``int``. The CSR build sorts one
 key ``src * n + dst`` per orientation of each edge, drops repeats, and
 puts each node in front of its row.
 
@@ -30,6 +32,7 @@ group boundaries fit, since numpy sorts those about twice as fast as
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -78,8 +81,12 @@ class Graph:
         """Build a graph from 0-based edge pairs.
 
         Duplicate edges (in either orientation) and self loops are dropped.
-        ``n`` may exceed the largest id to keep isolated trailing nodes.
+        ``n`` may exceed the largest id to keep isolated trailing nodes. An
+        ``n`` above 3037000499, whose keys would overflow int64, raises
+        :class:`GraphFormatError` before anything is built.
         """
+        if n > _MAX_KEY_NODES:
+            raise GraphFormatError(f"{n} nodes overflow the int64 edge keys; the limit is {_MAX_KEY_NODES}")
         edges = np.asarray(edges, dtype=np.int64).reshape(-1, 2)
         if edges.size and (edges.min() < 0 or edges.max() >= n):
             raise GraphFormatError("edge endpoint out of range")
@@ -139,6 +146,8 @@ _INT64 = np.iinfo(np.int64)
 # 2**32), so a file that asks for that many is rejected before anything is
 # allocated for them.
 _MAX_NODES = 2**32 - 1
+# The largest n whose edge keys src * n + dst, at most n * n - 1, fit int64.
+_MAX_KEY_NODES = math.isqrt(_INT64.max)
 
 
 def _read_pairs(path: Path) -> tuple[np.ndarray, np.ndarray, int | None, bool]:
@@ -184,16 +193,21 @@ def _read_pairs(path: Path) -> tuple[np.ndarray, np.ndarray, int | None, bool]:
     first_token = np.searchsorted(token_starts, starts)
     counts = np.searchsorted(token_starts, ends) - first_token
     lead = data[token_starts[np.minimum(first_token, token_starts.size - 1)]]
+    del first_token
     comment = (counts > 0) & ((lead == ord("%")) | (lead == ord("#")))
 
     # A sign is plain only as the first byte of a token, before a digit.
+    # Files rarely hold a sign, so only the sign positions are checked.
     odd = cls == _OTHER
-    odd[:-1] |= (cls[:-1] == _SIGN) & ~(begins[:-1] & (cls[1:] == _DIGIT))
-    odd[-1] |= cls[-1] == _SIGN
-    del cls, begins
+    signs = np.flatnonzero(cls == _SIGN)
+    plain = begins[signs] & (signs + 1 < cls.size)
+    plain[plain] = cls[signs[plain] + 1] == _DIGIT
+    odd[signs[~plain]] = True
+    del cls, begins, signs, plain
     slow = np.logical_or.reduceat(odd, starts)
     del odd
     slow[np.searchsorted(ends, token_starts[token_bytes > _ARRAY_TOKEN_BYTES])] = True
+    del token_starts, token_bytes
     slow &= ~comment
     fast = (counts > 0) & ~comment & ~slow
 
@@ -267,7 +281,7 @@ def _read_pairs(path: Path) -> tuple[np.ndarray, np.ndarray, int | None, bool]:
     # The pairs fill one array once the per-byte, per-token and per-line
     # arrays are gone. Coordinate files may carry a value column; anything
     # past u v is ignored.
-    del data, token_starts, token_bytes, starts, ends, first_token, counts
+    del data, starts, ends, counts
     keep = fast_lines != header
     fast_lines, at = fast_lines[keep], offsets[keep]
     del fast_counts, offsets
@@ -295,8 +309,9 @@ def load_graph(path: str | Path) -> Graph:
     fit int64. Self loops are dropped, duplicate edges are merged, and the
     node count is ``max(declared header size, largest id + 1)`` so that
     isolated trailing nodes declared by the header survive; it must be
-    below 2**32. A malformed file raises
-    :class:`GraphFormatError` naming ``path:line``.
+    below 2**32. A malformed file raises :class:`GraphFormatError` naming
+    ``path:line``, and one whose graph cannot be built (more than 3037000499
+    nodes, or too many to fit in memory) raises it naming ``path``.
     """
     path = Path(path)
     edges, lines, declared, is_mm = _read_pairs(path)
@@ -313,7 +328,13 @@ def load_graph(path: str | Path) -> Graph:
     n = max(declared or 0, int(edges.max()) + 1 if edges.size else 0)
     if n == 0:
         raise GraphFormatError(f"{path}: no nodes (empty file without size header)")
-    return Graph.from_edges(n, edges)
+    try:
+        return Graph.from_edges(n, edges)
+    except GraphFormatError as exc:
+        raise GraphFormatError(f"{path}: {exc}") from None
+    except MemoryError:
+        # A size header can declare billions of isolated nodes.
+        raise GraphFormatError(f"{path}: a graph of {n} nodes does not fit in memory") from None
 
 
 def save_edge_list(graph: Graph, path: str | Path) -> None:

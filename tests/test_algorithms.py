@@ -6,6 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ccsubmod import (
+    Evaluator,
     G2Regime,
     Instance,
     ParetoArchive,
@@ -40,6 +41,66 @@ from oracles import (
 def ind(g1, g2, size=0):
     return Individual(state=np.zeros(1, dtype=np.uint8), size=size, expected=0.0,
                       g1=float(g1), g2=float(g2))
+
+
+# ParetoArchive.insert as the archive defines it, for tests that patch it.
+_INSERT = ParetoArchive.insert
+
+
+class BoundWatch:
+    """Checks every child an archive run spawns against its exact objectives.
+
+    A child's coverage bound ``parent.g1 + gain`` must be at least its exact
+    coverage. A child the loop rejects at that bound must be one that
+    ``ParetoArchive.insert`` rejects at its exact objectives, and a child the
+    loop scores must get those objectives. ``spawned``, ``scored`` and
+    ``rejected`` count the children that went each way.
+    """
+
+    def __init__(self, mp, inst, regime):
+        from ccsubmod import algorithms
+
+        self.adjacency = adjacency_lists(inst.graph)
+        self.reference = Evaluator(inst, regime)
+        self.spawned = self.scored = self.rejected = 0
+        self.pending = None
+        spawn, offspring, rejects = algorithms._spawn_child, algorithms._offspring, ParetoArchive.rejects
+
+        def spawn_checked(parent, pos, expected_arr, row_sizes):
+            out = spawn(parent, pos, expected_arr, row_sizes)
+            bits = parent.state >> 1
+            bits[pos] ^= 1
+            bound = parent.g1 + out[2]
+            assert naive_coverage(self.adjacency, bits) <= bound
+            self.spawned += 1
+            self.pending = (bits, out, bound)
+            return out
+
+        def offspring_checked(evaluator, parent, pos, size, expected, g2, feasible):
+            bits, _, _ = self.pending
+            self.pending = None
+            self.scored += 1
+            child = offspring(evaluator, parent, pos, size, expected, g2, feasible)
+            assert (child.g1, child.g2) == tuple(self.reference.evaluate_bits(bits))
+            return child
+
+        def rejects_checked(archive, g1, g2):
+            out = rejects(archive, g1, g2)
+            if self.pending is not None:
+                # The loop's bound test; insert's own test comes after scoring.
+                bits, (size, expected, _), bound = self.pending
+                exact = self.reference.evaluate_bits(bits)
+                assert (g1, g2) == (bound, exact.g2) and exact.g1 >= 0
+                if out:
+                    self.pending = None
+                    self.rejected += 1
+                    child = Individual(state=None, size=size, expected=expected, g1=exact.g1, g2=exact.g2)
+                    assert not _INSERT(archive, child)
+            return out
+
+        mp.setattr(algorithms, "_spawn_child", spawn_checked)
+        mp.setattr(algorithms, "_offspring", offspring_checked)
+        mp.setattr(ParetoArchive, "rejects", rejects_checked)
 
 
 def small_instance(seed=0, n=12, budget=6.0, alpha=0.1,
@@ -263,8 +324,11 @@ class TestWindowReleasesStates:
         with pytest.MonkeyPatch.context() as mp:
             mp.setattr(algorithms, "_sliding_select", select)
             mp.setattr(ParetoArchive, "insert", insert)
+            watch = BoundWatch(mp, inst, regime)
             result = run(inst, RunConfig(algorithm="sw-gsemo", t_max=t_max, seed=seed, regime=regime))
-        assert len(inserts) == t_max + 1
+        # Every child but those rejected at their coverage bound is inserted.
+        assert len(inserts) + watch.rejected == t_max + 1
+        assert watch.spawned == watch.scored + watch.rejected
         assert result.archive_size == len(result.final_objectives)
 
     @pytest.mark.parametrize("regime, best_g1, archive_size", [
@@ -289,6 +353,55 @@ class TestWindowReleasesStates:
             tracemalloc.stop()
         assert (result.best_g1, result.archive_size) == (best_g1, archive_size)
         assert peak < 4 * 2**20
+
+
+class TestCoverageBound:
+    """GSEMO and SW-GSEMO skip scoring a child the archive rejects at its
+    coverage bound; results stay those of scoring every child."""
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(
+        data=st.data(),
+        n=st.integers(min_value=8, max_value=30),
+        algorithm=st.sampled_from(["gsemo", "sw-gsemo"]),
+        weights=st.sampled_from(["iid", "degree"]),
+        surrogate=st.sampled_from(list(SurrogateKind)),
+        regime=st.sampled_from(list(G2Regime)),
+        t_max=st.integers(min_value=20, max_value=600),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    def test_bound_covers_every_child(self, data, n, algorithm, weights, surrogate, regime, t_max, seed):
+        budget = data.draw(st.sampled_from([2.5, n / 4, n / 2 + 0.5, float(n - 1)]))
+        inst = small_instance(seed=seed, n=n, budget=budget, surrogate=surrogate, weights=weights)
+        with pytest.MonkeyPatch.context() as mp:
+            watch = BoundWatch(mp, inst, regime)
+            result = run(inst, RunConfig(algorithm=algorithm, t_max=t_max, seed=seed, regime=regime))
+        assert watch.spawned == watch.scored + watch.rejected
+        assert result.evaluations == t_max + 1
+
+    # Degree weights give each node the mean |N[v]|, so in the expected-g2
+    # regime an added node raises g2 as much as the coverage bound, and the
+    # bound almost never decides there.
+    @pytest.mark.parametrize("algorithm", ["gsemo", "sw-gsemo"])
+    @pytest.mark.parametrize("weights, regime", [
+        ("iid", G2Regime.SURROGATE), ("iid", G2Regime.EXPECTED), ("degree", G2Regime.SURROGATE),
+    ])
+    def test_traced_run_scores_every_child_with_equal_result(self, algorithm, weights, regime):
+        from dataclasses import replace
+
+        inst = small_instance(seed=31, n=40, budget=12.0, weights=weights)
+        results, watches = [], []
+        for trace in (False, True):
+            with pytest.MonkeyPatch.context() as mp:
+                watches.append(BoundWatch(mp, inst, regime))
+                cfg = RunConfig(algorithm=algorithm, t_max=4000, seed=7, regime=regime, trace=trace)
+                results.append(run(inst, cfg))
+        untraced, traced = watches
+        assert untraced.rejected > 0 and untraced.spawned == untraced.scored + untraced.rejected
+        assert traced.rejected == 0 and traced.scored == traced.spawned == untraced.spawned
+        a, b = (replace(r, trace=None, wall_time_s=0.0) for r in results)
+        assert a == b and a.evaluations == 4001
+        assert results[0].trace is None and len(results[1].trace) == 4000
 
 
 class TestNsga2:
@@ -392,11 +505,11 @@ class TestCoverageMasks:
         parents_without_mask = []
         original = algorithms._offspring
 
-        def checked(evaluator, parent, pos, expected_arr):
+        def checked(evaluator, parent, pos, size, expected, g2, feasible):
             parents_without_mask.append(parent.state is None)
             bits = parent.state >> 1
             bits[pos] ^= 1
-            child = original(evaluator, parent, pos, expected_arr)
+            child = original(evaluator, parent, pos, size, expected, g2, feasible)
             nodes = np.flatnonzero(bits)
             assert child.size == len(nodes) and child.expected == means[nodes].sum()
             if child.g1 >= 0:
@@ -415,8 +528,11 @@ class TestCoverageMasks:
 
     @pytest.mark.parametrize("algorithm", ["gsemo", "sw-gsemo"])
     def test_archive_offspring_come_from_parent_masks(self, monkeypatch, algorithm):
-        # Infeasible selections never enter the archive, so every parent has a mask.
-        assert not any(self.run_checked(monkeypatch, algorithm))
+        # Infeasible selections never enter the archive, so every parent has
+        # a mask. The run must score children for the checks to mean anything.
+        parents_without_mask = self.run_checked(monkeypatch, algorithm)
+        assert len(parents_without_mask) > 100
+        assert not any(parents_without_mask)
 
     @pytest.mark.parametrize("algorithm", ["gsemo", "sw-gsemo"])
     def test_members_hold_one_byte_per_node(self, monkeypatch, algorithm):

@@ -4,7 +4,8 @@ from hypothesis import strategies as st
 
 from ccsubmod import ParetoArchive
 from ccsubmod.algorithms import Individual
-from oracles import filter_nondominated
+from ccsubmod.chance import Objectives
+from oracles import dominates, filter_nondominated
 
 
 def ind(g1, g2):
@@ -97,6 +98,47 @@ class TestStaircaseInvariants:
             archive.insert(ind(g1, g2))
         assert archive_pairs(archive) == filter_nondominated([(float(a), float(b)) for a, b in pairs])
         self.check_staircase(archive)
+
+
+class TestRejects:
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        pairs=st.lists(st.tuples(st.integers(-1, 12), st.integers(0, 12)), min_size=1, max_size=30),
+        query=st.tuples(st.integers(-1, 14), st.integers(0, 13)),
+    )
+    def test_rejects_exactly_the_strictly_dominated_pairs(self, pairs, query):
+        archive = ParetoArchive()
+        for g1, g2 in pairs:
+            archive.insert(ind(g1, g2))
+        g1, g2 = query
+        want = any(dominates(Objectives(m.g1, m.g2), Objectives(g1, g2), strict=True) for m in archive.members)
+        assert archive.rejects(g1, g2) == want
+        # Rejection is monotone in g1: a pair rejected at some g1 is
+        # rejected at every lower one, which is what lets a run reject a
+        # child at an upper bound on its coverage.
+        if want:
+            assert all(archive.rejects(lower, g2) for lower in range(-1, g1))
+        assert archive.insert(ind(g1, g2)) != want
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(
+        pairs=st.lists(st.tuples(st.integers(0, 12), st.integers(0, 12)), min_size=1, max_size=30),
+        floor=st.sampled_from([-float("inf"), 0.5, 4.0, 9.0]),
+        pick=st.integers(0, 29),
+    )
+    def test_reinserting_a_member_changes_nothing(self, pairs, floor, pick):
+        # A zero-flip child is its own parent, re-inserted as is.
+        archive = ParetoArchive()
+        archive.raise_floor(floor)
+        for g1, g2 in pairs:
+            archive.insert(ind(g1, g2))
+        before = list(archive.members)
+        states = [m.state for m in before]
+        peak = archive.peak_size
+        assert archive.insert(before[pick % len(before)])
+        assert len(archive.members) == len(before)
+        assert all(a is b and a.state is state for a, b, state in zip(archive.members, before, states))
+        assert archive.peak_size == peak
 
 
 class TestIndexRange:

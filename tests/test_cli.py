@@ -111,6 +111,26 @@ class TestRun:
         assert f"{graph}{where}" in err
         assert "the limit is 2**32 - 1" in err
 
+    # Files under that limit whose graph still cannot be built. At
+    # n = 2**32 - 1 the edge keys src * n + dst would overflow int64, and a
+    # header that declares three billion isolated nodes asks for 24 GiB per
+    # int64 array. The 4 GiB cap makes a regression fail instead of
+    # allocating.
+    @pytest.mark.parametrize("name, text, message", [
+        ("zero-based.txt", "0 4294967294\n",
+         ": 4294967295 nodes overflow the int64 edge keys; the limit is 3037000499"),
+        ("header.mtx", "%%MatrixMarket matrix coordinate pattern symmetric\n3000000000 3000000000 1\n1 2\n",
+         ": a graph of 3000000000 nodes does not fit in memory"),
+    ])
+    def test_unbuildable_graph_is_config_error(self, tmp_path, name, text, message):
+        graph = tmp_path / name
+        graph.write_text(text)
+        code, out, err = cli("run", "--graph", str(graph), *RUN_FLAGS, address_space=4 << 30)
+        assert code == 2
+        assert out == ""
+        assert err.startswith("configuration error:")
+        assert f"{graph}{message}" in err
+
     # A repeated flag overrides the earlier one in RUN_FLAGS.
     @pytest.mark.parametrize("flag", ["--weights", "--surrogate", "--regime"])
     def test_unknown_name_is_config_error(self, graph_file, flag):

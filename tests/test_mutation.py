@@ -5,7 +5,14 @@ import numpy as np
 import pytest
 
 from ccsubmod import Evaluator, Instance, ParetoArchive, SurrogateKind, make_degree_weights, make_rng
-from ccsubmod.algorithms import Individual, _index_draw, _mutation_positions, _offspring, _sliding_select
+from ccsubmod.algorithms import (
+    Individual,
+    _index_draw,
+    _mutation_positions,
+    _offspring,
+    _sliding_select,
+    _spawn_child,
+)
 from conftest import random_sparse_graph
 from oracles import full_state, sized_mutation_positions
 
@@ -47,7 +54,8 @@ class TestStandardBitMutation:
                 snapshot = parent.state.copy()
                 pos = _mutation_positions(n, rng, draw)
                 permuted += len(pos) * (len(pos) - 1) >= n
-                child = _offspring(evaluator, parent, pos, means)
+                size, expected, _ = _spawn_child(parent, pos, means, graph.degrees + 1)
+                child = _offspring(evaluator, parent, pos, size, expected, *evaluator.constraint(size, expected))
                 selection = child.state >> 1
                 assert np.array_equal(np.flatnonzero(selection != snapshot >> 1), np.sort(pos))
                 assert np.array_equal(parent.state, snapshot)
