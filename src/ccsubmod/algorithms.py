@@ -475,7 +475,6 @@ def _run_archive_loop(
     # A traced run scores every child, so that its g1 column is exact.
     bounded = trace is None
     row_sizes = instance.graph.degrees + 1
-    constraint = evaluator.constraint
 
     for t in range(1, t_max + 1):
         if sliding:
@@ -490,7 +489,7 @@ def _run_archive_loop(
             evaluator.evaluations += 1
         else:
             size, expected, gain = _spawn_child(parent, pos, expected_arr, row_sizes)
-            g2, feasible = constraint(size, expected)
+            g2, feasible = evaluator.constraint(size, expected)
             if bounded and feasible and archive.rejects(parent.g1 + gain, g2):
                 # The archive rejects the child at its coverage bound, so at
                 # its exact coverage too. A member then covers at least as
