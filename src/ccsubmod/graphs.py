@@ -12,9 +12,9 @@ more than 3037000499 nodes; one that does not fit in memory is reported as
 a malformed file. The file's text is scanned as bytes to find its lines,
 tokens and comment lines, and the integer tokens of all plain lines are
 converted by one numpy call; only lines with unusual content go through
-Python's ``int``. The CSR build sorts one
-key ``src * n + dst`` per orientation of each edge, drops repeats, and
-puts each node in front of its row.
+Python's ``int``. The CSR build sorts one key ``src * n + dst`` per
+orientation of each edge, drops repeats, and puts each node in front of
+its row.
 
 A full computation marks the rows of all selected nodes in a covered
 mask. A selection that is updated by flips is held as a state: one byte per

@@ -121,7 +121,7 @@ class TestRun:
          ": 4294967295 nodes overflow the int64 edge keys; the limit is 3037000499"),
         ("header.mtx", "%%MatrixMarket matrix coordinate pattern symmetric\n3000000000 3000000000 1\n1 2\n",
          ": a graph of 3000000000 nodes does not fit in memory"),
-    ])
+    ], ids=["key-overflow", "huge-header"])
     def test_unbuildable_graph_is_config_error(self, tmp_path, name, text, message):
         graph = tmp_path / name
         graph.write_text(text)
