@@ -24,6 +24,12 @@ initial individual). :func:`run` sets each run up and builds every
 :class:`RunResult`; a traced archive-based run adds one :data:`TRACE_DTYPE`
 record per iteration.
 
+Every algorithm draws its mutation flips with :func:`_mutation_positions`,
+many offspring at once: GSEMO and SW-GSEMO in blocks of ``_BLOCK``
+iterations, NSGA-II one generation at a time. About (1 - 1/n)^n of the
+archive loop's iterations, 37%, flip no bit. Such an offspring is its
+parent, so the iteration counts one evaluation and draws no parent.
+
 Coverage is monotone and submodular, so a GSEMO or SW-GSEMO child that adds
 the nodes A to its parent covers at most ``parent.g1 + sum(|N[v]| for v in
 A)`` nodes. When the archive would reject a feasible child even at that
@@ -63,7 +69,12 @@ def make_rng(*entropy: int) -> np.random.Generator:
 
     Repetition r of grid cell c under experiment seed s uses
     ``make_rng(s, c, r)``, which is the reproducibility contract for every
-    published result file.
+    published result file. A run draws from it in a fixed order: the
+    archive loop draws each block's flips (see :func:`_mutation_positions`)
+    and then one parent index per iteration that flips a bit; an NSGA-II
+    generation draws its tournaments, crossover choices, crossover coins
+    and flips. Results made with the earlier per-iteration draws are not
+    reproduced.
     """
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(list(entropy))))
 
@@ -72,16 +83,18 @@ def _index_draw(rng: np.random.Generator) -> Callable[[int], int]:
     """``draw(bound)``: the value ``rng.integers(bound)`` returns, leaving
     ``rng`` in the state that call leaves.
 
-    A scalar ``rng.integers`` call spends most of its time on argument
-    handling. For a bound below 2**32 its value is Lemire's
-    multiply-and-reject method (ACM TOMACS 2019) on 32-bit outputs of the
-    bit generator, so running that method on the bit generator's
+    GSEMO and SW-GSEMO draw their parents with it, one scalar draw per
+    iteration that flips a bit. A scalar ``rng.integers`` call spends most
+    of its time on argument handling. For a bound below 2**32 its value is
+    Lemire's multiply-and-reject method (ACM TOMACS 2019) on 32-bit outputs
+    of the bit generator, so running that method on the bit generator's
     ``next_uint32`` through ``bit_generator.ctypes`` gives the same values
-    from the same stream at about a third of the cost. The index draws thus
-    depend on PCG64's ``next_uint32`` alone, not on how
-    ``Generator.integers`` is implemented; ``tests/test_mutation.py`` checks
-    the two against each other, generator state included. A bound of 1 returns 0 and draws
-    nothing, as numpy does; a bound of 2**32 or more raises ``ValueError``.
+    from the same stream at about a third of the cost. The parent draws
+    thus depend on PCG64's ``next_uint32`` alone, not on how
+    ``Generator.integers`` is implemented; ``tests/test_mutation.py``
+    checks the two against each other, generator state included. A bound
+    of 1 returns 0 and draws nothing, as numpy does; a bound of 2**32 or
+    more raises ``ValueError``.
     """
     bit_generator = rng.bit_generator
     interface = bit_generator.ctypes
@@ -169,7 +182,7 @@ class ParetoArchive:
         """Insert unless strictly dominated; drop weakly dominated members.
 
         Returns True when the individual was accepted. Re-inserting a member
-        (a zero-flip child is its own parent) accepts it and changes nothing.
+        accepts it and changes nothing.
         """
         if self.rejects(ind.g1, ind.g2):
             return False
@@ -231,36 +244,37 @@ class ParetoArchive:
 # Variation
 # ---------------------------------------------------------------------------
 
-def _mutation_positions(n: int, rng: np.random.Generator, draw: Callable[[int], int]) -> list[int]:
-    """Distinct positions to flip; each bit flips independently w.p. 1/n.
+def _mutation_positions(n: int, rng: np.random.Generator, count: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flips of ``count`` offspring of standard bit mutation, each bit
+    flipped independently w.p. 1/n.
 
-    Sampling the flip count from Binomial(n, 1/n) and then a uniform
-    k-subset of positions is distributionally identical to n independent
-    coin flips, at O(k) cost.
+    Returns ``(counts, positions)``: offspring i flips the ``counts[i]``
+    distinct positions that follow those of the offspring before it in
+    ``positions``. Sampling each flip count from Binomial(n, 1/n) and then
+    a uniform k-subset of positions is distributionally identical to n
+    independent coin flips, at O(k) cost.
 
-    The count comes from ``rng.binomial`` and the positions from k calls of
-    ``draw``, the index draw bound to ``rng`` (see :func:`_index_draw`).
-    These give the values and the generator state of one
-    ``rng.integers(0, n, size=k)`` call, so seeded runs reproduce the sized
-    draw's results; ``tests/test_mutation.py`` checks this against the sized
-    draw. The positions depend only on PCG64's ``next_uint32``, not on how
-    ``Generator.integers`` is implemented. They are a list of ints: each
-    caller walks them one by one, so an array would only be unpacked again.
+    All counts come from one ``rng.binomial`` call and all positions from
+    one ``rng.integers`` call. An offspring whose positions repeat takes
+    ``rng.permutation(n)[:k]`` instead, so each offspring's positions are
+    still a uniform k-subset.
     """
-    k = int(rng.binomial(n, 1.0 / n))
-    if k == 0:
-        return []
-    if k == 1:
-        return [draw(n)]
-    if k * (k - 1) >= n:
-        return rng.permutation(n)[:k].tolist()
-    while True:
-        pos = [draw(n) for _ in range(k)]
-        if len(set(pos)) == k:
-            return pos
+    counts = rng.binomial(n, 1.0 / n, size=count)
+    positions = rng.integers(0, n, size=int(counts.sum()))
+    keys = np.sort(np.repeat(np.arange(count, dtype=np.int64) * n, counts) + positions)
+    repeated = keys[1:][keys[1:] == keys[:-1]]
+    if len(repeated):
+        starts = np.cumsum(counts) - counts
+        for i in np.unique(repeated // n).tolist():
+            k = int(counts[i])
+            positions[starts[i]:starts[i] + k] = rng.permutation(n)[:k]
+    return counts, positions
 
 
 _EMPTY_POSITIONS = np.empty(0, dtype=np.int64)
+
+# GSEMO and SW-GSEMO draw the flips of this many iterations at once.
+_BLOCK = 4096
 
 
 def _spawn_child(
@@ -392,6 +406,9 @@ class RunConfig:
 # One record per iteration of a traced archive-based run (row i is iteration
 # i + 1): the parent's g2, the offspring's objectives, whether the archive
 # took it, and whether the parent came from a window of how many members.
+# An iteration that flips no bit selects no parent: its row holds NaN
+# objectives, accepted and in_window 0, and the occupancy of the window at
+# that t.
 TRACE_DTYPE = np.dtype([
     ("parent_g2", np.float64),
     ("g1", np.float64),
@@ -455,10 +472,15 @@ def _config_echo(instance: Instance, cfg: RunConfig) -> dict:
 # GSEMO and SW-GSEMO
 # ---------------------------------------------------------------------------
 
-def _run_archive_loop(
-    instance: Instance, cfg: RunConfig, evaluator: Evaluator, rng: np.random.Generator, draw: Callable[[int], int]
-) -> tuple:
-    """GSEMO, with sliding-window parent selection for ``sw-gsemo``."""
+def _run_archive_loop(instance: Instance, cfg: RunConfig, evaluator: Evaluator, rng: np.random.Generator) -> tuple:
+    """GSEMO, with sliding-window parent selection for ``sw-gsemo``.
+
+    The flips of up to ``_BLOCK`` iterations are drawn at once, then each
+    iteration that flips a bit draws its parent with ``rng``'s index draw
+    (see :func:`_index_draw`). ``_sliding_select`` sees the iteration's own
+    t: its window only moves up, so an iteration without flips that leaves
+    it unraised changes nothing.
+    """
     sliding = cfg.algorithm == "sw-gsemo"
     n = instance.graph.n
     expected_arr = instance.weights.expected
@@ -475,19 +497,36 @@ def _run_archive_loop(
     # A traced run scores every child, so that its g1 column is exact.
     bounded = trace is None
     row_sizes = instance.graph.degrees + 1
+    draw = _index_draw(rng)
 
-    for t in range(1, t_max + 1):
-        if sliding:
-            parent, in_window, occ = _sliding_select(archive, t, t_max, budget, draw)
-        else:
-            parent, in_window, occ = archive.uniform_member(draw), False, 0
-        pos = _mutation_positions(n, rng, draw)
-        if not pos:
-            # Offspring identical to parent: re-inserting the parent changes
-            # nothing, but the iteration still counts as one evaluation.
-            child = parent
-            evaluator.evaluations += 1
-        else:
+    for start in range(0, t_max, _BLOCK):
+        block = min(_BLOCK, t_max - start)
+        counts, positions = _mutation_positions(n, rng, block)
+        flips, positions = counts.tolist(), positions.tolist()
+        # A zero-flip offspring is its parent: it counts as one evaluation
+        # and changes nothing, so it draws no parent. Only a trace visits it.
+        steps = np.flatnonzero(counts).tolist()
+        evaluator.evaluations += block - len(steps)
+        if trace is not None:
+            steps = range(block)
+        end = 0
+        for i in steps:
+            t = start + i + 1
+            k = flips[i]
+            if not k:
+                occ = 0
+                if sliding:
+                    c_hat = (t / t_max) * budget
+                    i0, i1 = archive.index_range(math.floor(c_hat), math.ceil(c_hat))
+                    occ = i1 - i0
+                trace[t - 1] = (math.nan, math.nan, math.nan, False, False, occ)
+                continue
+            pos = positions[end:end + k]
+            end += k
+            if sliding:
+                parent, in_window, occ = _sliding_select(archive, t, t_max, budget, draw)
+            else:
+                parent, in_window, occ = archive.uniform_member(draw), False, 0
             size, expected, gain = _spawn_child(parent, pos, expected_arr, row_sizes)
             g2, feasible = evaluator.constraint(size, expected)
             if bounded and feasible and archive.rejects(parent.g1 + gain, g2):
@@ -498,11 +537,11 @@ def _run_archive_loop(
                 evaluator.evaluations += 1
                 continue
             child = _offspring(evaluator, parent, pos, size, expected, g2, feasible)
-        accepted = archive.insert(child)
-        if child.g1 > best.g1:
-            best = child
-        if trace is not None:
-            trace[t - 1] = (parent.g2, child.g1, child.g2, accepted, in_window, occ)
+            accepted = archive.insert(child)
+            if child.g1 > best.g1:
+                best = child
+            if trace is not None:
+                trace[t - 1] = (parent.g2, child.g1, child.g2, accepted, in_window, occ)
 
     final = [Objectives(m.g1, m.g2) for m in archive.members]
     return best.g1, best.state >> 1, len(archive), archive.peak_size, final, trace
@@ -632,9 +671,7 @@ def _survivors(
     return np.concatenate(chosen), np.concatenate(ranks), np.concatenate(crowd)
 
 
-def _run_nsga2(
-    instance: Instance, cfg: RunConfig, evaluator: Evaluator, rng: np.random.Generator, draw: Callable[[int], int]
-) -> tuple:
+def _run_nsga2(instance: Instance, cfg: RunConfig, evaluator: Evaluator, rng: np.random.Generator) -> tuple:
     """(mu + lambda) NSGA-II on (maximize coverage, minimize g2).
 
     The population starts as mu copies of the empty selection and evolves for
@@ -661,7 +698,6 @@ def _run_nsga2(
 
     crossover_rate = 0.9
     child_ids = np.arange(lam, dtype=np.int64)
-    child_starts = np.arange(lam + 1, dtype=np.int64) * n
     for _ in range(cfg.t_max // lam):
         parents_a, parents_b = _tournament(rank, crowd, rng, lam)
         do_cross = rng.random(lam) < crossover_rate
@@ -669,21 +705,13 @@ def _run_nsga2(
         # The bits in which each child's parents differ, ascending, as
         # np.flatnonzero(p1_bits != p2_bits) would list them.
         diff = _odd_keys(np.concatenate([firsts, _tagged(population, parents_b, child_ids, n)]))
-        bounds = np.searchsorted(diff, child_starts).tolist()
         # Uniform crossover flips p1's bits where p2's are taken: where a
-        # crossing child's uniform draw falls below 1/2. The other entries
-        # keep 1. Parents that agree leave nothing to draw, and
-        # rng.random(0) would draw nothing, so it is not called. Mutation
-        # flips are gathered as keys in one list.
-        draws = np.ones(len(diff))
-        mutated = []
-        for i, cross in enumerate(do_cross.tolist()):
-            lo, hi = bounds[i], bounds[i + 1]
-            if cross and hi > lo:
-                rng.random(out=draws[lo:hi])
-            offset = i * n
-            mutated += [offset + p for p in _mutation_positions(n, rng, draw)]
-        keys = _odd_keys(np.concatenate([firsts, diff[draws < 0.5], np.array(mutated, dtype=np.int64)]))
+        # crossing child's coin falls below 1/2. One call draws a coin for
+        # every differing bit, and those of the other children are dropped.
+        taken = diff[(rng.random(len(diff)) < 0.5) & do_cross[diff // n]]
+        counts, positions = _mutation_positions(n, rng, lam)
+        mutated = np.repeat(child_ids * n, counts) + positions
+        keys = _odd_keys(np.concatenate([firsts, taken, mutated]))
         owners = keys // n
         nodes = keys - owners * n
         g1, g2 = evaluator.evaluate_groups(nodes, owners, lam)
@@ -716,7 +744,7 @@ def run(instance: Instance, cfg: RunConfig) -> RunResult:
     """Run the configured algorithm and build its :class:`RunResult`.
 
     This is the one place a result is put together. It starts the clock and
-    makes the seeded generator, its index draw and the evaluator, then hands
+    makes the seeded generator and the evaluator, then hands
     them to NSGA-II or to the archive loop, which selects parents uniformly
     (``gsemo``) or from the sliding window (``sw-gsemo``). A loop returns
     only what differs between them: the best g1 and its 0/1 selection, the
@@ -725,10 +753,9 @@ def run(instance: Instance, cfg: RunConfig) -> RunResult:
     """
     start = time.perf_counter()
     rng = make_rng(*cfg.seed_tuple())
-    draw = _index_draw(rng)
     evaluator = Evaluator(instance, cfg.regime)
     loop = _run_nsga2 if cfg.algorithm == "nsga2" else _run_archive_loop
-    best_g1, best_bits, size, peak, final, trace = loop(instance, cfg, evaluator, rng, draw)
+    best_g1, best_bits, size, peak, final, trace = loop(instance, cfg, evaluator, rng)
     return RunResult(
         algorithm=cfg.algorithm,
         best_g1=best_g1,

@@ -2,8 +2,8 @@
 
 The references are deliberately naive (explicit set unions, quadratic
 scans, full enumeration) and share no code with the optimized library
-paths they are used to check. Two of them pin the random stream: the
-sized draws the optimizers once made, which their cheaper draws must
+paths they are used to check. Two of them pin the random stream: naive
+forms of the optimizers' sized draws, which their vectorized draws must
 reproduce value for value and state for state. The Dunn marks are built
 on ``scipy.stats`` instead, and skip their test when scipy is missing.
 
@@ -219,22 +219,25 @@ def monte_carlo_violation(expected_sel: np.ndarray, d: float, budget: float,
     return float((totals > budget).mean())
 
 
-def sized_mutation_positions(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Standard bit mutation's flip positions, each round of positions drawn
-    by one ``rng.integers(0, n, size=k)`` call.
+def block_mutation_positions(n: int, rng: np.random.Generator, count: int) -> list[list[int]]:
+    """Standard bit mutation's flip positions for ``count`` offspring, one
+    list per offspring, from one sized ``rng.binomial`` and one sized
+    ``rng.integers`` draw.
 
-    A draw with a repeated position is redrawn whole; when k(k-1) >= n a
-    random permutation is cut to k instead.
+    Offspring are checked one by one with a python set; each one whose
+    positions repeat takes ``rng.permutation(n)[:k]`` instead, in offspring
+    order.
     """
-    k = int(rng.binomial(n, 1.0 / n))
-    if k == 0:
-        return np.empty(0, dtype=np.int64)
-    if k * (k - 1) >= n:
-        return rng.permutation(n)[:k]
-    while True:
-        pos = rng.integers(0, n, size=k)
-        if len(np.unique(pos)) == k:
-            return pos
+    counts = rng.binomial(n, 1.0 / n, size=count).tolist()
+    flat = rng.integers(0, n, size=sum(counts)).tolist()
+    out, start = [], 0
+    for k in counts:
+        out.append(flat[start:start + k])
+        start += k
+    for i, pos in enumerate(out):
+        if len(set(pos)) < len(pos):
+            out[i] = rng.permutation(n)[: len(pos)].tolist()
+    return out
 
 
 def sized_tournaments(rank: np.ndarray, crowd: np.ndarray, rng: np.random.Generator,

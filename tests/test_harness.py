@@ -397,12 +397,13 @@ class TestTrace:
     # sha256 of the CSV of three seeded 3000-iteration runs on one 40-node
     # graph, iid weights under the surrogate and degree weights under the
     # expected weight. The runs hold infeasible, rejected and accepted
-    # offspring, and empty, single and double windows, so a change to any
-    # column or to how it is written shows up here.
+    # offspring, zero-flip rows (NaN objectives), and empty, single and
+    # double windows, so a change to any column or to how it is written
+    # shows up here.
     PINNED_TRACES = {
-        ("sw-gsemo", "iid"): "547a221bb5062c191ecdff709c00cf9806c2cf0bbd70384727f0140acbc1e730",
-        ("gsemo", "degree"): "133b9198768ce1b0e5e49048d1025ed08355741bd6cd3a7947a2698993b4ce4e",
-        ("sw-gsemo", "degree"): "6bb451c597fc057f018f1f5d753c6fc59548635655e673cad62e7acc78919030",
+        ("sw-gsemo", "iid"): "247de5fb6cf3809abeb2c9717dafe9c50f93f65b9dcd31d672c63374b6d158cf",
+        ("gsemo", "degree"): "80bc3d499cf399a2cd972660a420784bd1f43af46e254ffea5cb11442bc08cbc",
+        ("sw-gsemo", "degree"): "7a499e8c37f5a7418f0517cc0357b02fec8deacda48f44202a898b298d187390",
     }
 
     @pytest.mark.parametrize("algorithm, weights", sorted(PINNED_TRACES))
@@ -419,8 +420,11 @@ class TestTrace:
         assert hashlib.sha256(path.read_bytes()).hexdigest() == self.PINNED_TRACES[(algorithm, weights)]
 
     def test_accepted_g2_tracks_window_envelope(self):
-        # On a well-behaved run nearly all accepted offspring sit within one
-        # unit of the current window; measured on a frozen reference run.
+        # On a well-behaved run most accepted offspring sit within one unit
+        # of the current window; measured on a frozen reference run. The
+        # share is 0.73 here; with per-iteration draws, whose zero-flip
+        # iterations re-inserted their parent, it read 0.72 over the
+        # accepted offspring that flipped a bit.
         graph = random_sparse_graph(60, 150, seed=8)
         inst = Instance(graph=graph, weights=make_iid_weights(60, 1, 0.5),
                         budget=15.0, alpha=0.1, surrogate=SurrogateKind.CHEBYSHEV)
@@ -432,7 +436,7 @@ class TestTrace:
         c_hat = t / t_max * inst.budget
         g2 = tr.g2[accepted]
         near = (g2 >= np.floor(c_hat) - 1.0) & (g2 <= np.ceil(c_hat) + 1.0)
-        assert near.mean() >= 0.95
+        assert near.mean() >= 0.7
 
 
 class TestRunRepetitions:

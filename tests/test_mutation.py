@@ -1,5 +1,8 @@
+import copy
 import gc
+import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -13,32 +16,44 @@ from ccsubmod.algorithms import (
     _sliding_select,
     _spawn_child,
 )
+from ccsubmod.stats import chi2_sf
 from conftest import random_sparse_graph
-from oracles import full_state, sized_mutation_positions
+from oracles import block_mutation_positions, full_state
+
+
+def offspring(counts, positions) -> list[list[int]]:
+    """One list of flip positions per offspring of a block."""
+    ends = np.cumsum(counts).tolist()
+    flat = positions.tolist()
+    return [flat[lo:hi] for lo, hi in zip([0] + ends, ends)]
+
+
+def chi2_p(observed, expected) -> float:
+    """Pearson chi-square goodness-of-fit p-value over the given cells."""
+    observed, expected = np.asarray(observed, dtype=float), np.asarray(expected, dtype=float)
+    return chi2_sf(float(((observed - expected) ** 2 / expected).sum()), len(observed) - 1)
 
 
 class TestStandardBitMutation:
     def test_single_bit_always_flips(self):
         # flip probability 1/n is 1 for n = 1
         rng = make_rng(0)
-        draw = _index_draw(rng)
-        for _ in range(40):
-            assert _mutation_positions(1, rng, draw) == [0]
+        for count in (1, 7, 40):
+            counts, positions = _mutation_positions(1, rng, count)
+            assert counts.tolist() == [1] * count and positions.tolist() == [0] * count
 
     def test_identical_seeds_identical_offspring(self):
         a_rng, b_rng = make_rng(99), make_rng(99)
-        a_draw, b_draw = _index_draw(a_rng), _index_draw(b_rng)
-        for _ in range(200):
-            a = _mutation_positions(50, a_rng, a_draw)
-            b = _mutation_positions(50, b_rng, b_draw)
-            assert type(a) is list and all(type(p) is int for p in a)
-            assert a == b
+        for count in (1, 10, 50, 4096):
+            a, b = _mutation_positions(50, a_rng, count), _mutation_positions(50, b_rng, count)
+            assert len(a[0]) == count and a[0].sum() == len(a[1])
+            assert all(np.array_equal(x, y) for x, y in zip(a, b))
 
     def test_parent_not_modified(self):
         # Degree weights give non-unit integer means, so size and expected
-        # differ; at n = 6 mutation also takes the permutation branch
-        # (k * (k - 1) >= n). The budget keeps every child feasible, and
-        # each child is the next parent.
+        # differ; at n = 6 mutation also redraws offspring whose positions
+        # repeat. The budget keeps every child feasible, and each child is
+        # the next parent.
         for n in (6, 30):
             graph = random_sparse_graph(n, 2 * n, seed=n)
             model = make_degree_weights(graph, 1.0)
@@ -48,11 +63,9 @@ class TestStandardBitMutation:
             state, g1 = full_state(graph, np.isin(np.arange(n), [1, 3, 5]))
             parent = Individual(state=state, size=3, expected=float(means[[1, 3, 5]].sum()), g1=float(g1), g2=0.0)
             rng = make_rng(5)
-            draw = _index_draw(rng)
             permuted = 0
-            for _ in range(300):
+            for pos in offspring(*_mutation_positions(n, rng, 300)):
                 snapshot = parent.state.copy()
-                pos = _mutation_positions(n, rng, draw)
                 permuted += len(pos) * (len(pos) - 1) >= n
                 size, expected, _ = _spawn_child(parent, pos, means, graph.degrees + 1)
                 child = _offspring(evaluator, parent, pos, size, expected, *evaluator.constraint(size, expected))
@@ -67,51 +80,74 @@ class TestStandardBitMutation:
                 assert permuted > 0
 
     def test_mean_hamming_distance_is_one(self):
-        # 1e5 mutations at n = 100; expected flips per offspring = 1
-        n, trials = 100, 100_000
+        # 1e5 offspring at n = 100, drawn in blocks of the archive loop's
+        # size and of NSGA-II's; expected flips per offspring = 1
+        n = 100
         rng = make_rng(2024)
-        draw = _index_draw(rng)
-        total = sum(len(_mutation_positions(n, rng, draw)) for _ in range(trials))
-        mean = total / trials
-        assert abs(mean - 1.0) < 0.05
+        for count, blocks in ((4096, 25), (10, 10_000)):
+            total = sum(int(_mutation_positions(n, rng, count)[0].sum()) for _ in range(blocks))
+            assert abs(total / (count * blocks) - 1.0) < 0.02
 
     def test_flip_count_distribution_is_binomial(self):
-        # flip counts should follow Binomial(n, 1/n); check first two moments
-        n, trials = 64, 50_000
-        rng = make_rng(7)
-        draw = _index_draw(rng)
-        counts = np.array([len(_mutation_positions(n, rng, draw)) for _ in range(trials)])
-        assert abs(counts.mean() - 1.0) < 0.05
-        expected_var = n * (1 / n) * (1 - 1 / n)
-        assert abs(counts.var() - expected_var) < 0.06
+        # Pearson chi-square of 200k flip counts against Binomial(n, 1/n),
+        # counts of 4 or more pooled into one cell.
+        trials = 200_000
+        for n in (2, 6, 64, 1882):
+            counts = _mutation_positions(n, make_rng(7, n), trials)[0]
+            cells = min(n, 4)
+            observed = np.bincount(np.minimum(counts, cells), minlength=cells + 1)
+            pmf = [math.comb(n, k) * (1 / n) ** k * (1 - 1 / n) ** (n - k) for k in range(cells)]
+            expected = trials * np.array([*pmf, 1 - sum(pmf)])
+            if cells == n:  # every count is a cell of its own
+                observed, expected = observed[:-1], expected[:-1]
+            assert chi2_p(observed, expected) > 1e-3, n
 
     def test_positions_uniform(self):
-        # each bit should flip equally often, and no position twice at once
-        n, trials = 20, 40_000
-        rng = make_rng(31)
-        draw = _index_draw(rng)
-        hits = np.zeros(n)
-        for _ in range(trials):
-            pos = _mutation_positions(n, rng, draw)
-            assert len(np.unique(pos)) == len(pos)
-            hits[pos] += 1
-        rate = hits / trials
-        assert np.all(np.abs(rate - 1 / n) < 0.01)
+        # Each offspring flips distinct positions in range, each position
+        # flips equally often (Pearson chi-square), and at 1 < n <= 6 the
+        # redraw of offspring whose positions repeat, where often
+        # k * (k - 1) >= n, is exercised.
+        trials = 200_000
+        for n in (1, 2, 6, 30, 1882):
+            rng = make_rng(31, n)
+            probe = copy.deepcopy(rng)
+            raw_counts = probe.binomial(n, 1 / n, size=trials)
+            raw = offspring(raw_counts, probe.integers(0, n, size=raw_counts.sum()))
+            counts, positions = _mutation_positions(n, rng, trials)
+            assert np.array_equal(counts, raw_counts) and counts.sum() == len(positions)
+            assert all(len(set(pos)) == len(pos) for pos in offspring(counts, positions))
+            assert positions.min() >= 0 and positions.max() < n
+            if n > 1:
+                assert chi2_p(np.bincount(positions, minlength=n), np.full(n, len(positions) / n)) > 1e-3, n
+            if 1 < n <= 6:
+                assert sum(len(set(pos)) < len(pos) for pos in raw) > 100
+
+    @pytest.mark.parametrize("k", [2, 3])
+    def test_subsets_uniform_where_repeats_are_redrawn(self, k):
+        # At n = 6 most offspring with k >= 2 flips draw a repeated
+        # position and are redrawn; every k-subset must stay equally likely.
+        n = 6
+        children = offspring(*_mutation_positions(n, make_rng(41, k), 200_000))
+        seen = Counter(tuple(sorted(pos)) for pos in children if len(pos) == k)
+        subsets = list(itertools.combinations(range(n), k))
+        assert set(seen) == set(subsets)
+        total = sum(seen.values())
+        assert chi2_p([seen[s] for s in subsets], np.full(len(subsets), total / len(subsets))) > 1e-3
 
 
 class TestRandomStream:
     @pytest.mark.parametrize("n", [*range(1, 16), 40, 1882, 21363])
     def test_positions_and_state_match_sized_draws(self, n):
-        # The scalar draws must reproduce the sized sampler value for value
-        # and leave the generator in the same state; a numpy release that
-        # breaks this would silently change every seeded result.
+        # The vectorized sampler must reproduce a naive one, which checks
+        # each offspring for repeats with a python set, value for value and
+        # state for state; a numpy release that changes binomial, integers
+        # or permutation would silently change every seeded result.
         for seed in range(3):
             rng, reference = make_rng(seed, n), make_rng(seed, n)
-            draw = _index_draw(rng)
-            for _ in range(1000):
-                got = _mutation_positions(n, rng, draw)
-                assert type(got) is list and all(type(p) is int for p in got)
-                assert got == sized_mutation_positions(n, reference).tolist()
+            for count in (1, 10, 50, 4096, 3):
+                counts, positions = _mutation_positions(n, rng, count)
+                assert counts.dtype == positions.dtype == np.int64
+                assert offspring(counts, positions) == block_mutation_positions(n, reference, count)
                 assert rng.bit_generator.state == reference.bit_generator.state
 
     @pytest.mark.parametrize("bound", [*range(1, 17), 40, 1882, 21363, 2**31 - 5, 2**31 + 5, 2**32 - 1])
