@@ -189,8 +189,6 @@ class ParetoArchive:
         g2s = self._g2
         j = bisect_left(g2s, ind.g2)
         nmem = len(g2s)
-        if j < nmem and self.members[j] is ind:
-            return True
         j2 = j
         while j2 < nmem and self.members[j2].g1 <= ind.g1:
             j2 += 1
@@ -265,7 +263,8 @@ def _mutation_positions(n: int, rng: np.random.Generator, count: int) -> tuple[n
     repeated = keys[1:][keys[1:] == keys[:-1]]
     if len(repeated):
         starts = np.cumsum(counts) - counts
-        for i in np.unique(repeated // n).tolist():
+        # A set, not np.unique, whose first call imports numpy.ma (1.7 MB).
+        for i in sorted(set((repeated // n).tolist())):
             k = int(counts[i])
             positions[starts[i]:starts[i] + k] = rng.permutation(n)[:k]
     return counts, positions

@@ -29,6 +29,13 @@ import tempfile
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass
 from pathlib import Path
+from statistics import median
+
+import ccsubmod
+from ccsubmod import Instance, RunConfig, SurrogateKind, algorithms, run
+from ccsubmod.graphs import load_graph
+from ccsubmod.problem import build_weights
+from ccsubmod.stats import kruskal_wallis
 
 ROOT = Path(__file__).resolve().parents[2]
 METRICS = ("best_g1", "archive_size", "peak_archive_size")
@@ -63,8 +70,6 @@ def benchmark_cells() -> list[Cell]:
 def doubled_mutation_rate():
     """Standard bit mutation at rate 2/n: the flip-count draw of
     ``algorithms._mutation_positions`` sees twice the rate it asks for."""
-    from ccsubmod import algorithms
-
     sample = algorithms._mutation_positions
 
     class Doubled:
@@ -87,9 +92,6 @@ def doubled_mutation_rate():
 def collect(graph, budget: float, cells: list[Cell], seeds: int, base_seed: int = 18) -> dict:
     """``{cell label: {metric: [value per seed]}}``; repetition r of cell c
     runs with seed ``(base_seed, c, r)`` on either side."""
-    from ccsubmod import Instance, RunConfig, SurrogateKind, run
-    from ccsubmod.problem import build_weights
-
     samples = {}
     for index, cell in enumerate(cells):
         d = 0.5 if cell.weights == "iid" else 1.0
@@ -111,10 +113,6 @@ def collect(graph, budget: float, cells: list[Cell], seeds: int, base_seed: int 
 def compare(baseline: dict, change: dict, family_alpha: float = FAMILY_ALPHA) -> dict:
     """Kruskal-Wallis test of every (cell, metric) pair of samples, judged
     at the Bonferroni level ``family_alpha / number of tests``."""
-    from statistics import median
-
-    from ccsubmod.stats import kruskal_wallis
-
     rows = []
     for label in baseline:
         for metric in METRICS:
@@ -131,9 +129,6 @@ def compare(baseline: dict, change: dict, family_alpha: float = FAMILY_ALPHA) ->
 
 def _worker(spec_path: str) -> None:
     spec = json.loads(Path(spec_path).read_text(encoding="utf-8"))
-    import ccsubmod
-    from ccsubmod.graphs import load_graph
-
     graph = load_graph(spec["graph"])
     cells = [Cell(**c) for c in spec["cells"]]
     if spec["doubled"]:

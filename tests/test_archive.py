@@ -127,7 +127,8 @@ class TestRejects:
         pick=st.integers(0, 29),
     )
     def test_reinserting_a_member_changes_nothing(self, pairs, floor, pick):
-        # A zero-flip child is its own parent, re-inserted as is.
+        # Inserting a member again accepts it and leaves the archive, its
+        # states and its peak as they were.
         archive = ParetoArchive()
         archive.raise_floor(floor)
         for g1, g2 in pairs:
