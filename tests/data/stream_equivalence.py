@@ -35,11 +35,10 @@ import ccsubmod
 from ccsubmod import Instance, RunConfig, SurrogateKind, algorithms, run
 from ccsubmod.graphs import load_graph
 from ccsubmod.problem import build_weights
-from ccsubmod.stats import kruskal_wallis
+from ccsubmod.stats import FAMILY_ALPHA, kruskal_wallis
 
 ROOT = Path(__file__).resolve().parents[2]
 METRICS = ("best_g1", "archive_size", "peak_archive_size")
-FAMILY_ALPHA = 0.05
 
 
 @dataclass(frozen=True)
