@@ -322,6 +322,13 @@ def _offspring(
 # Sliding-window parent selection
 # ---------------------------------------------------------------------------
 
+def _window(t: int, t_max: int, budget: float) -> tuple[int, int]:
+    """The weight window ``(floor(c), ceil(c))`` of iteration t, with
+    ``c = (t / t_max) * budget``."""
+    c_hat = (t / t_max) * budget
+    return math.floor(c_hat), math.ceil(c_hat)
+
+
 def _sliding_select(
     archive: ParetoArchive,
     t: int,
@@ -331,9 +338,9 @@ def _sliding_select(
 ) -> tuple[Individual, bool, int]:
     """Pick a parent from the sliding weight window.
 
-    With ``c = (t / t_max) * budget``, candidates are the members whose g2
-    lies in ``[floor(c), ceil(c)]``; ``draw`` (see :func:`_index_draw`)
-    chooses one uniformly at random.
+    Candidates are the members whose g2 lies in the window
+    ``[floor(c), ceil(c)]`` of :func:`_window`; ``draw`` (see
+    :func:`_index_draw`) chooses one uniformly at random.
     Returns (parent, in_window, window occupancy). When the window is empty
     the best-coverage member below it is used instead (``in_window`` False),
     and past ``t_max`` selection reverts to uniform over the whole archive.
@@ -345,9 +352,7 @@ def _sliding_select(
     """
     if t > t_max or t_max < 1:
         return archive.uniform_member(draw), False, 0
-    c_hat = (t / t_max) * budget
-    lo = math.floor(c_hat)
-    hi = math.ceil(c_hat)
+    lo, hi = _window(t, t_max, budget)
     if lo > archive.floor:
         archive.raise_floor(lo)
     i0, i1 = archive.index_range(lo, hi)
@@ -358,9 +363,9 @@ def _sliding_select(
         # nothing anyway, so skip the call.
         return members[i0 if occ == 1 else i0 + draw(occ)], True, occ
     # Empty window: take the best-coverage member among those below it. The
-    # staircase ordering makes that the last member with g2 <= floor(c_hat);
+    # staircase ordering makes that the last member with g2 <= floor(c);
     # g1 ties cannot occur between archive members. No member has
-    # g2 == floor(c_hat), since it would lie in the window, so that member
+    # g2 == floor(c), since it would lie in the window, so that member
     # sits just before the window's start.
     if i0 == 0:
         # Unreachable while the empty selection (g2 = 0) stays archived;
@@ -515,8 +520,7 @@ def _run_archive_loop(instance: Instance, cfg: RunConfig, evaluator: Evaluator, 
             if not k:
                 occ = 0
                 if sliding:
-                    c_hat = (t / t_max) * budget
-                    i0, i1 = archive.index_range(math.floor(c_hat), math.ceil(c_hat))
+                    i0, i1 = archive.index_range(*_window(t, t_max, budget))
                     occ = i1 - i0
                 trace[t - 1] = (math.nan, math.nan, math.nan, False, False, occ)
                 continue

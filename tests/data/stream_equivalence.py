@@ -13,7 +13,7 @@ To show that the gate has power, it also runs this checkout with standard
 bit mutation at rate 2/n (patched in here, not in ``src/``), which the gate
 must flag. Run from the repository root:
 
-    PYTHONPATH=src python tests/data/stream_equivalence.py --baseline REV [--seeds 30] [--out gate.json]
+    PYTHONPATH=src python tests/data/stream_equivalence.py --baseline REV [--out gate.json]
 
 It exits 0 when the change passes and the 2/n variant is flagged, else 1.
 """
@@ -39,6 +39,9 @@ from ccsubmod.stats import FAMILY_ALPHA, kruskal_wallis
 
 ROOT = Path(__file__).resolve().parents[2]
 METRICS = ("best_g1", "archive_size", "peak_archive_size")
+# Seeds per side and cell, and the seed of the CSphd-size graph.
+SEEDS = 30
+GRAPH_SEED = 11
 
 
 @dataclass(frozen=True)
@@ -162,8 +165,6 @@ def _print_table(title: str, outcome: dict) -> None:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--baseline", help="git revision of the baseline source tree")
-    parser.add_argument("--seeds", type=int, default=30)
-    parser.add_argument("--graph-seed", type=int, default=11)
     parser.add_argument("--out", type=Path, default=None, help="also write the tables as JSON")
     parser.add_argument("--worker", help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
@@ -188,9 +189,9 @@ def main(argv=None) -> int:
                                  capture_output=True, check=True).stdout
         subprocess.run(["tar", "-x", "-C", str(baseline_tree)], input=archive, check=True)
         graph_path = work / "csphd.mtx"
-        graphgen.write_mtx(graph_path, spec_graph.n, graphgen.generate(spec_graph, args.graph_seed))
+        graphgen.write_mtx(graph_path, spec_graph.n, graphgen.generate(spec_graph, GRAPH_SEED))
         spec = {"graph": str(graph_path), "budget": float(spec_graph.n // 20),
-                "cells": [asdict(c) for c in cells], "seeds": args.seeds, "doubled": False}
+                "cells": [asdict(c) for c in cells], "seeds": SEEDS, "doubled": False}
         baseline = _run_side(baseline_tree, spec, work)
         change = _run_side(ROOT, spec, work)
         doubled = _run_side(ROOT, {**spec, "doubled": True}, work)
@@ -202,8 +203,8 @@ def main(argv=None) -> int:
     print(f"gate: change {'passes' if passed else 'FAILS'}; 2/n variant {'flagged' if flagged else 'NOT flagged'}")
     if args.out:
         args.out.write_text(json.dumps({
-            "baseline": revision, "seeds": args.seeds,
-            "graph": {"generator": "perfbench/graphgen.py CSPHD", "n": spec_graph.n, "seed": args.graph_seed,
+            "baseline": revision, "seeds": SEEDS,
+            "graph": {"generator": "perfbench/graphgen.py CSPHD", "n": spec_graph.n, "seed": GRAPH_SEED,
                       "budget": spec_graph.n // 20},
             "cells": [asdict(c) for c in cells], "family_alpha": FAMILY_ALPHA,
             "change": gate, "doubled_rate": power, "passed": passed, "variant_flagged": flagged,
