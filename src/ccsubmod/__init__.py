@@ -10,14 +10,13 @@ from .algorithms import (
     run,
 )
 from .chance import Evaluator, G2Regime, Objectives
-from .graphs import Graph, GraphFormatError, load_graph, save_edge_list
+from .graphs import Graph, GraphFormatError, load_graph
 from .harness import (
     ExperimentConfig,
     emit_table,
     emit_trace,
     load_experiment_config,
     run_experiment,
-    run_repetitions,
 )
 from .problem import (
     Instance,
@@ -44,13 +43,11 @@ __all__ = [
     "Graph",
     "GraphFormatError",
     "load_graph",
-    "save_edge_list",
     "ExperimentConfig",
     "emit_table",
     "emit_trace",
     "load_experiment_config",
     "run_experiment",
-    "run_repetitions",
     "Instance",
     "SurrogateKind",
     "WeightModel",

@@ -302,22 +302,6 @@ def _spawn_child(
     return size, expected, gain
 
 
-def _offspring(
-    evaluator: Evaluator,
-    parent: Individual,
-    pos: list[int],
-    size: int,
-    expected: float,
-    g2: float,
-    feasible: bool,
-) -> Individual:
-    """Scored child of the feasible ``parent`` with ``pos`` flipped, given
-    the child's size and expected weight and what
-    :meth:`~ccsubmod.chance.Evaluator.constraint` returns for them."""
-    g1, g2, state = evaluator.evaluate_from_stats(g2, feasible, parent.state, pos)
-    return Individual(state=state, size=size, expected=expected, g1=g1, g2=g2)
-
-
 # ---------------------------------------------------------------------------
 # Sliding-window parent selection
 # ---------------------------------------------------------------------------
@@ -492,7 +476,8 @@ def _run_archive_loop(instance: Instance, cfg: RunConfig, evaluator: Evaluator, 
     t_max = cfg.t_max
 
     # The empty selection is feasible, as the budget is positive.
-    g1, g2, state = evaluator.evaluate_from_stats(*evaluator.constraint(0, 0.0), np.zeros(n, dtype=np.uint8), [])
+    g2, feasible = evaluator.constraint(0, 0.0)
+    g1, state = evaluator.evaluate_from_stats(feasible, np.zeros(n, dtype=np.uint8), [])
     root = Individual(state=state, size=0, expected=0.0, g1=g1, g2=g2)
     archive = ParetoArchive()
     archive.insert(root)
@@ -539,7 +524,8 @@ def _run_archive_loop(instance: Instance, cfg: RunConfig, evaluator: Evaluator, 
                 # evaluation.
                 evaluator.evaluations += 1
                 continue
-            child = _offspring(evaluator, parent, pos, size, expected, g2, feasible)
+            g1, state = evaluator.evaluate_from_stats(feasible, parent.state, pos)
+            child = Individual(state=state, size=size, expected=expected, g1=g1, g2=g2)
             accepted = archive.insert(child)
             if child.g1 > best.g1:
                 best = child

@@ -35,7 +35,6 @@ from .problem import Instance, SurrogateKind, WeightModel
 __all__ = [
     "G2Regime",
     "Objectives",
-    "Scored",
     "Evaluator",
 ]
 
@@ -63,14 +62,6 @@ class G2Regime(enum.Enum):
 class Objectives(NamedTuple):
     g1: float
     g2: float
-
-
-class Scored(NamedTuple):
-    """Objectives plus the state they came from (None if infeasible)."""
-
-    g1: float
-    g2: float
-    state: np.ndarray | None
 
 
 def _tail_coefficient(model: WeightModel, alpha: float, kind: SurrogateKind) -> float:
@@ -109,30 +100,32 @@ class Evaluator:
 
     def constraint(self, size: int, expected: float) -> tuple[float, bool]:
         """g2 of a selection with ``size`` elements whose means sum to
-        ``expected``, and whether its surrogate weight fits the budget."""
+        ``expected``, and whether its surrogate weight fits the budget.
+
+        ``expected`` must be the exact sum of the integer means, which float64
+        holds exactly; the archive loop keeps it so incrementally."""
         sg = self.surrogate_from(expected, size)
         return (sg if self.regime is G2Regime.SURROGATE else expected), sg <= self.budget
 
     def evaluate_from_stats(
-        self, g2: float, feasible: bool, parent_state: np.ndarray, flipped: list[int]
-    ) -> Scored:
-        """Score the child of a selection, given what :meth:`constraint`
-        returns for the child's size and expected weight.
+        self, feasible: bool, parent_state: np.ndarray, flipped: list[int]
+    ) -> tuple[float, np.ndarray | None]:
+        """``(g1, state)`` of the child of a selection, given whether
+        :meth:`constraint` finds the child feasible.
 
-        The expected weight must equal the exact integer sum of selected
-        means (the optimizers maintain it incrementally; integer arithmetic
-        in float64 keeps it exact). The child is ``parent_state`` (see
+        The child is ``parent_state`` (see
         :func:`~ccsubmod.graphs.update_coverage`) with the nodes ``flipped``
-        flipped; a feasible child's state is updated from a copy of it and
-        returned read-only.
+        flipped. A feasible child's state is updated from a copy of it and
+        returned read-only; an infeasible child gets the sentinel g1 and no
+        state. The caller keeps the child's g2 from :meth:`constraint`.
         """
         self.evaluations += 1
         if not feasible:
-            return Scored(INFEASIBLE_G1, g2, None)
+            return INFEASIBLE_G1, None
         state = parent_state.copy()
         update_coverage(self.graph, state, flipped)
         state.setflags(write=False)
-        return Scored(float(np.count_nonzero(state)), g2, state)
+        return float(np.count_nonzero(state)), state
 
     def evaluate_groups(
         self, nodes: np.ndarray, groups: np.ndarray, count: int

@@ -42,7 +42,6 @@ __all__ = [
     "Graph",
     "GraphFormatError",
     "load_graph",
-    "save_edge_list",
     "coverage_of_indices",
     "coverage_of_groups",
     "update_coverage",
@@ -117,17 +116,6 @@ class Graph:
     @property
     def num_edges(self) -> int:
         return int(self.degrees.sum()) // 2
-
-    def neighbors(self, v: int) -> np.ndarray:
-        """Sorted neighbor ids of v (without v)."""
-        return self.indices[self.indptr[v] + 1 : self.indptr[v + 1]]
-
-    def edge_array(self) -> np.ndarray:
-        """All edges as (m, 2) array with u < v, sorted lexicographically."""
-        src = np.repeat(np.arange(self.n, dtype=np.int64), self.degrees)
-        dst = np.delete(self.indices, self.indptr[:-1])
-        higher = dst > src
-        return np.column_stack([src[higher], dst[higher]])
 
 
 # The bytes ``str.split()`` treats as whitespace that can occur in a line
@@ -262,8 +250,8 @@ def _read_pairs(path: Path) -> tuple[np.ndarray, np.ndarray, int | None, bool]:
         faults.append((int(short[0]), f"expected an integer pair, got {line_text(int(short[0]))!r}"))
 
     # Only the first data line can be a size header: "rows cols nnz" in
-    # Matrix-Market files and, elsewhere, only the "n n m" line
-    # save_edge_list writes. Any other three-integer line is a weighted edge.
+    # Matrix-Market files and, elsewhere, only an "n n m" line, whose first
+    # two values are equal. Any other three-integer line is a weighted edge.
     # A fault found above on an earlier line still comes first.
     declared, header = None, -1
     if fast_lines.size or rows:
@@ -304,7 +292,7 @@ def load_graph(path: str | Path) -> Graph:
     suffix; otherwise they are 1-based unless some id is 0. Comment lines
     start with '%' or '#'. A three-integer first data line is a size
     header in Matrix-Market files; elsewhere it is one only in the ``n n m``
-    form :func:`save_edge_list` writes, and otherwise an edge whose third
+    form, with its first two values equal, and otherwise an edge whose third
     column is ignored (but must be an integer). Ids and header sizes must
     fit int64. Self loops are dropped, duplicate edges are merged, and the
     node count is ``max(declared header size, largest id + 1)`` so that
@@ -335,24 +323,6 @@ def load_graph(path: str | Path) -> Graph:
     except MemoryError:
         # A size header can declare billions of isolated nodes.
         raise GraphFormatError(f"{path}: a graph of {n} nodes does not fit in memory") from None
-
-
-def save_edge_list(graph: Graph, path: str | Path) -> None:
-    """Write the graph so that :func:`load_graph` round-trips it exactly.
-
-    A ``.mtx`` destination gets a Matrix-Market pattern header with 1-based
-    ids; anything else gets an ``n n m`` size line plus 0-based pairs. The
-    size header keeps isolated trailing nodes alive either way.
-    """
-    path = Path(path)
-    edges = graph.edge_array()
-    offset = 1 if path.suffix.lower() == ".mtx" else 0
-    with open(path, "w", encoding="utf-8") as fh:
-        if offset:
-            fh.write("%%MatrixMarket matrix coordinate pattern symmetric\n")
-        fh.write(f"{graph.n} {graph.n} {len(edges)}\n")
-        for u, v in edges:
-            fh.write(f"{u + offset} {v + offset}\n")
 
 
 def _rows(graph: Graph, nodes: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -12,12 +12,11 @@ Bonferroni-corrected pairwise marks.
 
 :func:`expand_cells` builds each grid cell's instance and seedless run
 config once, so a config fault anywhere in the grid raises ValueError naming
-its entry before anything runs or is written. Grids and
-:func:`run_repetitions` share one execution path: each pool worker receives
-the instances once through its initializer, every run's exception (or a
-dead worker) comes back as that run's error string, and outcomes arrive in
-task order. Run files are written by the calling process as each outcome
-arrives.
+its entry before anything runs or is written. :func:`run_experiment` is the
+one driver: each pool worker receives the instances once through its
+initializer, every run's exception (or a dead worker) comes back as that
+run's error string, and outcomes arrive in task order. Run files are written
+by the calling process as each outcome arrives.
 """
 
 from __future__ import annotations
@@ -50,7 +49,6 @@ __all__ = [
     "ExperimentConfig",
     "ResultSet",
     "run_experiment",
-    "run_repetitions",
     "emit_table",
     "emit_trace",
     "load_experiment_config",
@@ -454,7 +452,7 @@ def _write_json(path: Path, doc: dict) -> None:
 
 
 # ---------------------------------------------------------------------------
-# Execution: one driver for experiment grids and repetition batches
+# Execution
 # ---------------------------------------------------------------------------
 
 def _worker_count(workers: int | None) -> int:
@@ -495,9 +493,10 @@ def _worker_task(task: tuple[int, RunConfig]) -> RunResult | str:
 
 
 def _run_tasks(
-    instances: list[Instance], tasks: list[tuple[int, RunConfig]], workers: int | None
+    instances: list[Instance], tasks: list[tuple[int, RunConfig]], workers: int
 ) -> Iterator[RunResult | str]:
-    """Run each ``(instance index, config)`` task; yield outcomes in task order.
+    """Run each ``(instance index, config)`` task on ``workers`` processes
+    (see :func:`_worker_count`); yield outcomes in task order.
 
     A task carries only its index and config, because every worker receives
     the instance list once. One worker or one task runs in this process.
@@ -507,16 +506,15 @@ def _run_tasks(
     come back and every later one then yield the ``BrokenProcessPool``
     error as their outcome.
     """
-    nworkers = _worker_count(workers)
-    if nworkers > 1 and len(tasks) > 1:
+    if workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(
-            max_workers=nworkers, initializer=_init_worker, initargs=(instances,)
+            max_workers=workers, initializer=_init_worker, initargs=(instances,)
         ) as pool:
             in_flight = deque()
             done = 0
             try:
                 for task in tasks:
-                    if len(in_flight) == IN_FLIGHT_PER_WORKER * nworkers:
+                    if len(in_flight) == IN_FLIGHT_PER_WORKER * workers:
                         yield in_flight.popleft().result()
                         done += 1
                     in_flight.append(pool.submit(_worker_task, task))
@@ -528,26 +526,6 @@ def _run_tasks(
     else:
         for index, cfg in tasks:
             yield _attempt(instances[index], cfg)
-
-
-def run_repetitions(
-    instance: Instance,
-    template: RunConfig,
-    repetitions: int,
-    base_seed: int,
-    cell_index: int = 0,
-    workers: int | None = None,
-) -> list[RunResult]:
-    """Repeat one configuration with seeds (base_seed, cell_index, rep).
-
-    A failed run raises RuntimeError with that run's error.
-    """
-    tasks = [(0, replace(template, seed=(base_seed, cell_index, rep))) for rep in range(repetitions)]
-    results = list(_run_tasks([instance], tasks, workers))
-    for outcome in results:
-        if isinstance(outcome, str):
-            raise RuntimeError(outcome)
-    return results
 
 
 # ---------------------------------------------------------------------------

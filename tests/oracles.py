@@ -12,7 +12,8 @@ The graph-file reference reads a file line by line with ``str.split`` and
 from python sets.
 
 The helpers at the end turn selections between the forms tests use and
-the library's; only tests need them.
+the library's, list a graph's neighbours and edges, and write graph files;
+only tests need them.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from ccsubmod.graphs import GraphFormatError, coverage_of_indices
 
 def adjacency_lists(graph) -> list[list[int]]:
     """Per-node neighbor lists of a graph, as plain python ints."""
-    return [[int(u) for u in graph.neighbors(v)] for v in range(graph.n)]
+    return [[int(u) for u in neighbors(graph, v)] for v in range(graph.n)]
 
 
 def naive_coverage(adjacency: list, selection) -> int:
@@ -292,6 +293,37 @@ def bits_from_hex(hex_string: str, n: int) -> np.ndarray:
 def closed_neighborhood(graph, v: int) -> np.ndarray:
     """Sorted node ids of v's closed neighborhood ({v} plus neighbors)."""
     return np.sort(graph.indices[graph.indptr[v] : graph.indptr[v + 1]])
+
+
+def neighbors(graph, v: int) -> np.ndarray:
+    """Sorted neighbor ids of v (without v): the rest of v's CSR row."""
+    return graph.indices[graph.indptr[v] + 1 : graph.indptr[v + 1]]
+
+
+def edge_array(graph) -> np.ndarray:
+    """All edges as an (m, 2) array with u < v, sorted lexicographically."""
+    src = np.repeat(np.arange(graph.n, dtype=np.int64), graph.degrees)
+    dst = np.delete(graph.indices, graph.indptr[:-1])
+    higher = dst > src
+    return np.column_stack([src[higher], dst[higher]])
+
+
+def save_edge_list(graph, path) -> None:
+    """Write the graph so that ``load_graph`` round-trips it exactly.
+
+    A ``.mtx`` destination gets a Matrix-Market pattern header with 1-based
+    ids; anything else gets an ``n n m`` size line plus 0-based pairs. The
+    size header keeps isolated trailing nodes alive either way.
+    """
+    path = Path(path)
+    edges = edge_array(graph)
+    offset = 1 if path.suffix.lower() == ".mtx" else 0
+    with open(path, "w", encoding="utf-8") as fh:
+        if offset:
+            fh.write("%%MatrixMarket matrix coordinate pattern symmetric\n")
+        fh.write(f"{graph.n} {graph.n} {len(edges)}\n")
+        for u, v in edges:
+            fh.write(f"{u + offset} {v + offset}\n")
 
 
 def coverage_count(graph, selection) -> int:

@@ -53,8 +53,8 @@ class BoundWatch:
     A child's coverage bound ``parent.g1 + gain`` must be at least its exact
     coverage. A child the loop rejects at that bound must be one that
     ``ParetoArchive.insert`` rejects at its exact objectives, and a child the
-    loop scores must get those objectives. ``spawned``, ``scored`` and
-    ``rejected`` count the children that went each way.
+    loop scores must enter the archive with those objectives. ``spawned``,
+    ``scored`` and ``rejected`` count the children that went each way.
     """
 
     def __init__(self, mp, inst, regime):
@@ -63,8 +63,9 @@ class BoundWatch:
         self.adjacency = adjacency_lists(inst.graph)
         self.reference = Evaluator(inst, regime)
         self.spawned = self.scored = self.rejected = 0
-        self.pending = None
-        spawn, offspring, rejects = algorithms._spawn_child, algorithms._offspring, ParetoArchive.rejects
+        self.pending = self.scored_bits = None
+        spawn, rejects = algorithms._spawn_child, ParetoArchive.rejects
+        score, insert = Evaluator.evaluate_from_stats, ParetoArchive.insert
 
         def spawn_checked(parent, pos, expected_arr, row_sizes):
             out = spawn(parent, pos, expected_arr, row_sizes)
@@ -76,13 +77,21 @@ class BoundWatch:
             self.pending = (bits, out, bound)
             return out
 
-        def offspring_checked(evaluator, parent, pos, size, expected, g2, feasible):
-            bits, _, _ = self.pending
-            self.pending = None
-            self.scored += 1
-            child = offspring(evaluator, parent, pos, size, expected, g2, feasible)
-            assert (child.g1, child.g2) == tuple(self.reference.evaluate_bits(bits))
-            return child
+        def score_checked(evaluator, feasible, parent_state, flipped):
+            # The run's root, the empty selection, is scored before any spawn.
+            if self.pending is not None:
+                assert self.scored_bits is None  # the last child scored was inserted
+                self.scored_bits, _, _ = self.pending
+                self.pending = None
+                self.scored += 1
+            return score(evaluator, feasible, parent_state, flipped)
+
+        def insert_checked(archive, child):
+            if self.scored_bits is not None:
+                # The child just scored enters with its exact objectives.
+                assert (child.g1, child.g2) == tuple(self.reference.evaluate_bits(self.scored_bits))
+                self.scored_bits = None
+            return insert(archive, child)
 
         def rejects_checked(archive, g1, g2):
             out = rejects(archive, g1, g2)
@@ -99,7 +108,8 @@ class BoundWatch:
             return out
 
         mp.setattr(algorithms, "_spawn_child", spawn_checked)
-        mp.setattr(algorithms, "_offspring", offspring_checked)
+        mp.setattr(Evaluator, "evaluate_from_stats", score_checked)
+        mp.setattr(ParetoArchive, "insert", insert_checked)
         mp.setattr(ParetoArchive, "rejects", rejects_checked)
 
 
@@ -266,8 +276,9 @@ class TestArchiveRuns:
         # every seed at half a million evaluations, mirroring its
         # zero-variance behavior on similarly sparse benchmark graphs.
         # Uniform parent selection converges more slowly here (many
-        # near-tied stars); its exactness is asserted at desk scale. (~35s)
-        from ccsubmod import Graph, run_repetitions
+        # near-tied stars); its exactness is asserted at desk scale. (Two
+        # runs of about 0.8 s each.)
+        from ccsubmod import Graph
 
         sizes = [3 + (i * 7) % 45 for i in range(60)]
         edges = []
@@ -279,8 +290,8 @@ class TestArchiveRuns:
         inst = Instance(graph=graph, weights=make_iid_weights(1882, 1, 0.5),
                         budget=43.0, alpha=0.1, surrogate=SurrogateKind.CHEBYSHEV)
         optimum = float(sum(s + 1 for s in sorted(sizes, reverse=True)[:37]))
-        template = RunConfig(algorithm="sw-gsemo", t_max=500_000, seed=0)
-        results = run_repetitions(inst, template, repetitions=2, base_seed=79)
+        # The seeds of repetitions 0 and 1 of grid cell 0 under base seed 79.
+        results = [run(inst, RunConfig(algorithm="sw-gsemo", t_max=500_000, seed=(79, 0, rep))) for rep in range(2)]
         assert [r.best_g1 for r in results] == [optimum, optimum]
         assert all(r.peak_archive_size <= 44 for r in results)
 
@@ -513,19 +524,22 @@ class TestCoverageMasks:
     """Every scored offspring matches a full recomputation and the oracle."""
 
     def run_checked(self, monkeypatch, algorithm):
-        from ccsubmod import algorithms
-
         inst = small_instance(seed=21, n=30, budget=9.0, weights="degree")
         adjacency = adjacency_lists(inst.graph)
         means = inst.weights.expected
-        parents_without_mask = []
-        original = algorithms._offspring
+        parents_without_mask, scored = [], []
+        score, insert = Evaluator.evaluate_from_stats, ParetoArchive.insert
 
-        def checked(evaluator, parent, pos, size, expected, g2, feasible):
-            parents_without_mask.append(parent.state is None)
-            bits = parent.state >> 1
-            bits[pos] ^= 1
-            child = original(evaluator, parent, pos, size, expected, g2, feasible)
+        def score_checked(evaluator, feasible, parent_state, flipped):
+            parents_without_mask.append(parent_state is None)
+            bits = parent_state >> 1
+            bits[flipped] ^= 1
+            scored.append(bits)
+            return score(evaluator, feasible, parent_state, flipped)
+
+        def insert_checked(archive, child):
+            # Every selection scored, the root's included, is inserted next.
+            bits = scored.pop()
             nodes = np.flatnonzero(bits)
             assert child.size == len(nodes) and child.expected == means[nodes].sum()
             if child.g1 >= 0:
@@ -536,10 +550,12 @@ class TestCoverageMasks:
                 assert not child.state.flags.writeable
             else:
                 assert child.state is None
-            return child
+            return insert(archive, child)
 
-        monkeypatch.setattr(algorithms, "_offspring", checked)
+        monkeypatch.setattr(Evaluator, "evaluate_from_stats", score_checked)
+        monkeypatch.setattr(ParetoArchive, "insert", insert_checked)
         run(inst, RunConfig(algorithm=algorithm, t_max=3_000, seed=5))
+        assert not scored
         return parents_without_mask
 
     @pytest.mark.parametrize("algorithm", ["gsemo", "sw-gsemo"])

@@ -5,8 +5,8 @@ import sys
 
 import pytest
 
-from ccsubmod import save_edge_list
 from conftest import random_sparse_graph
+from oracles import save_edge_list
 
 
 def cli(*args, address_space=None):

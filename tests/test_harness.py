@@ -19,17 +19,15 @@ from ccsubmod import (
     make_iid_weights,
     run,
     run_experiment,
-    run_repetitions,
 )
 from ccsubmod import harness
 from ccsubmod.harness import AlgorithmSpec, ExperimentConfig, InstanceSpec, expand_cells
 from conftest import random_sparse_graph
+from oracles import save_edge_list
 
 
 @pytest.fixture
 def graph_file(tmp_path):
-    from ccsubmod import save_edge_list
-
     g = random_sparse_graph(30, 60, seed=21)
     p = tmp_path / "synth30.txt"
     save_edge_list(g, p)
@@ -190,7 +188,7 @@ class TestRunExperiment:
         assert resumed.cells == fresh.cells
 
     def test_graph_file_edited_between_calls_is_reloaded(self, tmp_path):
-        from ccsubmod import Graph, save_edge_list
+        from ccsubmod import Graph
 
         path = tmp_path / "edited.txt"
         save_edge_list(Graph.from_edges(3, np.array([[0, 1], [1, 2]])), path)
@@ -444,29 +442,54 @@ class TestTrace:
 
 
 class TestRunRepetitions:
-    def test_seeding_is_stable(self):
+    """Repetition r of grid cell c under base seed s runs with the seed
+    (s, c, r), whether one worker runs the grid or a pool does."""
+
+    @staticmethod
+    def grid(tmp_path, graph, budget, algorithms, t_max):
+        path = tmp_path / "graph.txt"
+        save_edge_list(graph, path)
+        return ExperimentConfig(
+            instances=[InstanceSpec(graph=str(path), budgets=(budget,), alphas=(0.1,), surrogates=("chebyshev",))],
+            algorithms=[AlgorithmSpec(algorithm) for algorithm in algorithms],
+            t_max=[t_max],
+            repetitions=3,
+            base_seed=5,
+        )
+
+    @staticmethod
+    def outcomes(cfg, out, workers):
+        """``(best_g1, best bits, seed)`` of every run file, cell by cell."""
+        results = run_experiment(cfg, workers=workers, out_dir=out)
+        assert results.ok
+        records = [
+            json.loads((out / "runs" / f"{cell['cell_id']}__rep{rep}.json").read_text())
+            for cell in results.cells
+            for rep in range(cfg.repetitions)
+        ]
+        return [(r["best_g1"], r["best_individual_bits"], r["config"]["seed"]) for r in records]
+
+    def test_seeding_is_stable(self, tmp_path):
         graph = random_sparse_graph(20, 40, seed=30)
+        cfg = self.grid(tmp_path, graph, 5.0, ["gsemo"], 1000)
+        a = self.outcomes(cfg, tmp_path / "a", workers=1)
+        b = self.outcomes(cfg, tmp_path / "b", workers=1)
+        assert a == b
+        assert [seed for _, _, seed in a] == [[5, 0, 0], [5, 0, 1], [5, 0, 2]]
+        # Each run file holds what algorithms.run gives for its seed.
         inst = Instance(graph=graph, weights=make_iid_weights(20, 1, 0.5),
                         budget=5.0, alpha=0.1, surrogate=SurrogateKind.CHEBYSHEV)
-        template = RunConfig(algorithm="gsemo", t_max=1000, seed=0)
-        a = run_repetitions(inst, template, repetitions=3, base_seed=5, workers=1)
-        b = run_repetitions(inst, template, repetitions=3, base_seed=5, workers=1)
-        assert [r.best_g1 for r in a] == [r.best_g1 for r in b]
-        assert [r.config["seed"] for r in a] == [[5, 0, 0], [5, 0, 1], [5, 0, 2]]
+        direct = [run(inst, RunConfig(algorithm="gsemo", t_max=1000, seed=(5, 0, rep))) for rep in range(3)]
+        assert [(g1, bits) for g1, bits, _ in a] == [(r.best_g1, r.best_bits_hex) for r in direct]
 
-    def test_pool_matches_serial(self):
+    def test_pool_matches_serial(self, tmp_path):
         graph = random_sparse_graph(40, 90, seed=31)
-        inst = Instance(graph=graph, weights=make_iid_weights(40, 1, 0.5),
-                        budget=8.0, alpha=0.1, surrogate=SurrogateKind.CHEBYSHEV)
-        template = RunConfig(algorithm="sw-gsemo", t_max=2000, seed=0)
-        serial = run_repetitions(inst, template, repetitions=3, base_seed=5, cell_index=2, workers=1)
-        pooled = run_repetitions(inst, template, repetitions=3, base_seed=5, cell_index=2, workers=2)
-
-        def outcome(results):
-            return [(r.best_g1, r.best_bits_hex, r.config["seed"]) for r in results]
-
-        assert outcome(pooled) == outcome(serial)
-        assert [r.config["seed"] for r in serial] == [[5, 2, 0], [5, 2, 1], [5, 2, 2]]
+        # SW-GSEMO is the third column, so its cell has index 2.
+        cfg = self.grid(tmp_path, graph, 8.0, ["gsemo", "nsga2", "sw-gsemo"], 2000)
+        serial = self.outcomes(cfg, tmp_path / "s", workers=1)
+        pooled = self.outcomes(cfg, tmp_path / "p", workers=2)
+        assert pooled == serial
+        assert [seed for _, _, seed in serial[6:]] == [[5, 2, 0], [5, 2, 1], [5, 2, 2]]
 
     def test_pool_keeps_a_bounded_window_in_flight(self, monkeypatch):
         graph = random_sparse_graph(20, 40, seed=32)

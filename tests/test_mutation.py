@@ -12,7 +12,6 @@ from ccsubmod.algorithms import (
     Individual,
     _index_draw,
     _mutation_positions,
-    _offspring,
     _sliding_select,
     _spawn_child,
 )
@@ -68,7 +67,9 @@ class TestStandardBitMutation:
                 snapshot = parent.state.copy()
                 permuted += len(pos) * (len(pos) - 1) >= n
                 size, expected, _ = _spawn_child(parent, pos, means, graph.degrees + 1)
-                child = _offspring(evaluator, parent, pos, size, expected, *evaluator.constraint(size, expected))
+                g2, feasible = evaluator.constraint(size, expected)
+                g1, state = evaluator.evaluate_from_stats(feasible, parent.state, pos)
+                child = Individual(state=state, size=size, expected=expected, g1=g1, g2=g2)
                 selection = child.state >> 1
                 assert np.array_equal(np.flatnonzero(selection != snapshot >> 1), np.sort(pos))
                 assert np.array_equal(parent.state, snapshot)
