@@ -5,9 +5,9 @@ Three algorithms share the bi-objective fitness from :mod:`ccsubmod.chance`:
 * ``gsemo``: keeps an archive of mutually non-dominated solutions, picks a
   parent uniformly at random, applies standard bit mutation, and inserts the
   offspring unless some member strictly dominates it (removing every member
-  the offspring weakly dominates). Each member holds its selection and
-  coverage in one byte per node (see :func:`ccsubmod.graphs.update_coverage`),
-  from which a child's is updated.
+  the offspring weakly dominates). Each member holds its coverage and its
+  selection as one state of two n-byte planes, covered nodes first (see
+  :func:`ccsubmod.graphs.update_coverage`), from which a child's is updated.
 * ``sw-gsemo``: same loop, but the parent comes from a weight window
   ``[floor(c), ceil(c)]`` with ``c = (t / t_max) * B`` sliding linearly from
   0 to the budget over the run. A member the window has passed can never be
@@ -47,6 +47,9 @@ from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
+# Imported here, not on a run's first make_rng call: numpy loads numpy.random
+# lazily, which would put the import (about 8 ms) inside that run's wall time.
+from numpy.random import PCG64, Generator, SeedSequence
 
 from .chance import Evaluator, G2Regime, Objectives
 from .problem import Instance
@@ -64,7 +67,7 @@ __all__ = [
 ALGORITHMS = ("gsemo", "sw-gsemo", "nsga2")
 
 
-def make_rng(*entropy: int) -> np.random.Generator:
+def make_rng(*entropy: int) -> Generator:
     """Seeded PCG64 generator; the entropy tuple is mixed by SeedSequence.
 
     Repetition r of grid cell c under experiment seed s uses
@@ -76,7 +79,7 @@ def make_rng(*entropy: int) -> np.random.Generator:
     and flips. Results made with the earlier per-iteration draws are not
     reproduced.
     """
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(list(entropy))))
+    return Generator(PCG64(SeedSequence(list(entropy))))
 
 
 def _index_draw(rng: np.random.Generator) -> Callable[[int], int]:
@@ -125,10 +128,11 @@ def _index_draw(rng: np.random.Generator) -> Callable[[int], int]:
 class Individual:
     """A selection with its cached objectives.
 
-    ``state`` is the read-only uint8 state of a feasible selection: value 2
-    marks a selected node and value 1 a covered one, so the selection is
-    ``state >> 1``. It is None when the selection is infeasible, or when a
-    sliding window has passed the member (see :meth:`ParetoArchive.raise_floor`).
+    ``state`` is the read-only uint8 state of a feasible selection, 2n bytes
+    of 0/1: ``state[:n]`` marks the covered nodes and ``state[n:]`` the
+    selected ones, so the selection is ``state[n:]``. It is None when the
+    selection is infeasible, or when a sliding window has passed the member
+    (see :meth:`ParetoArchive.raise_floor`).
     """
 
     state: np.ndarray | None
@@ -277,22 +281,23 @@ _BLOCK = 4096
 
 
 def _spawn_child(
-    parent: Individual, pos: list[int], expected_arr: np.ndarray, row_sizes: np.ndarray
+    parent: Individual, pos: list[int], n: int, expected_arr: np.ndarray, row_sizes: np.ndarray
 ) -> tuple[int, float, int]:
     """The child's (size, expected, gain), updated from the parent's after flips.
 
-    The integer means keep ``expected`` an exact sum. ``row_sizes`` holds
-    each node's closed-neighborhood size (its degree plus 1), and ``gain``
-    sums it over the added nodes. Coverage is monotone and submodular, so
-    adding those nodes and removing the others covers at most ``gain``
-    nodes more than the parent: the child's g1, if feasible, is at most
-    ``parent.g1 + gain``.
+    Node p is selected in the parent when its state's byte ``n + p`` is set
+    (see :class:`Individual`). The integer means keep ``expected`` an exact
+    sum. ``row_sizes`` holds each node's closed-neighborhood size (its
+    degree plus 1), and ``gain`` sums it over the added nodes. Coverage is
+    monotone and submodular, so adding those nodes and removing the others
+    covers at most ``gain`` nodes more than the parent: the child's g1, if
+    feasible, is at most ``parent.g1 + gain``.
     """
     state = parent.state
     size, expected, gain = parent.size, parent.expected, 0
     for p in pos:
         weight = expected_arr.item(p)
-        if state.item(p) & 2:
+        if state.item(n + p):
             size -= 1
             expected -= weight
         else:
@@ -477,7 +482,7 @@ def _run_archive_loop(instance: Instance, cfg: RunConfig, evaluator: Evaluator, 
 
     # The empty selection is feasible, as the budget is positive.
     g2, feasible = evaluator.constraint(0, 0.0)
-    g1, state = evaluator.evaluate_from_stats(feasible, np.zeros(n, dtype=np.uint8), [])
+    g1, state = evaluator.evaluate_from_stats(feasible, np.zeros(2 * n, dtype=np.uint8), [])
     root = Individual(state=state, size=0, expected=0.0, g1=g1, g2=g2)
     archive = ParetoArchive()
     archive.insert(root)
@@ -515,7 +520,7 @@ def _run_archive_loop(instance: Instance, cfg: RunConfig, evaluator: Evaluator, 
                 parent, in_window, occ = _sliding_select(archive, t, t_max, budget, draw)
             else:
                 parent, in_window, occ = archive.uniform_member(draw), False, 0
-            size, expected, gain = _spawn_child(parent, pos, expected_arr, row_sizes)
+            size, expected, gain = _spawn_child(parent, pos, n, expected_arr, row_sizes)
             g2, feasible = evaluator.constraint(size, expected)
             if bounded and feasible and archive.rejects(parent.g1 + gain, g2):
                 # The archive rejects the child at its coverage bound, so at
@@ -533,7 +538,7 @@ def _run_archive_loop(instance: Instance, cfg: RunConfig, evaluator: Evaluator, 
                 trace[t - 1] = (parent.g2, child.g1, child.g2, accepted, in_window, occ)
 
     final = [Objectives(m.g1, m.g2) for m in archive.members]
-    return best.g1, best.state >> 1, len(archive), archive.peak_size, final, trace
+    return best.g1, best.state[n:], len(archive), archive.peak_size, final, trace
 
 
 # ---------------------------------------------------------------------------

@@ -125,7 +125,7 @@ class Evaluator:
         state = parent_state.copy()
         update_coverage(self.graph, state, flipped)
         state.setflags(write=False)
-        return float(np.count_nonzero(state)), state
+        return float(np.count_nonzero(state[: self.graph.n])), state
 
     def evaluate_groups(
         self, nodes: np.ndarray, groups: np.ndarray, count: int

@@ -17,15 +17,16 @@ orientation of each edge, drops repeats, and puts each node in front of
 its row.
 
 A full computation marks the rows of all selected nodes in a covered
-mask. A selection that is updated by flips is held as a state: one byte per
-node, where value 2 marks a selected node and value 1 a node that some
-selected node's row contains, so a selected node reads 3 and the coverage
-is the count of nonzero bytes. An update after a few flips marks the rows
-of added nodes and rechecks the row of each removed node, so it costs the
-rows around the flipped nodes instead of the whole selection. Many small
-selections at once are counted without masks, from the rows of their
-selected nodes: one sort of the keys ``group * n + node`` puts every repeat
-next to its first copy. The keys are 32-bit whenever all of them and the
+mask. A selection that is updated by flips is held as a state of 2n bytes,
+two planes of 0/1 bytes: ``state[:n]`` marks the nodes that some selected
+node's row contains, so the coverage is its count of nonzero bytes, and
+``state[n:]`` marks the selected nodes. The covered plane comes first, so a
+row's node ids index it directly. An update after a few flips writes 1 over
+the row of each added node and rechecks the row of each removed node, so it
+costs the rows around the flipped nodes instead of the whole selection.
+Many small selections at once are counted without masks, from the rows of
+their selected nodes: one sort of the keys ``group * n + node`` puts every
+repeat next to its first copy. The keys are 32-bit whenever all of them and the
 group boundaries fit, since numpy sorts those about twice as fast as
 64-bit keys; the CSR arrays themselves stay int64.
 """
@@ -372,23 +373,25 @@ def coverage_of_groups(graph: Graph, nodes: np.ndarray, groups: np.ndarray, coun
 def update_coverage(graph: Graph, state: np.ndarray, flipped: list[int]) -> None:
     """Turn a parent's state into its child's, in place.
 
-    ``state`` is the parent's uint8 state (2 selected, 1 covered) and
+    ``state`` is the parent's uint8 state of 2n bytes, the covered plane
+    ``state[:n]`` followed by the selected plane ``state[n:]``, and
     ``flipped`` the distinct nodes whose selection flips, as a list of ints
-    (or any sequence of node ids). An added node
-    covers its row. A node in the row of a removed node stays covered only
-    if its own row still holds a selected node.
+    (or any sequence of node ids). An added node covers its row with one
+    constant write, whatever else the row holds. A node in the row of a
+    removed node stays covered only if its own row still holds a selected
+    node: its covered byte becomes the largest selected byte of that row.
     """
-    indptr, indices = graph.indptr, graph.indices
+    n, indptr, indices = graph.n, graph.indptr, graph.indices
     lost = []
     for v in flipped:
         row = indices[indptr[v] : indptr[v + 1]]
-        if state.item(v) & 2:
-            state[v] = 1
+        if state.item(n + v):
+            state[n + v] = 0
             lost.append(row)
         else:
-            state[row] |= 1
-            state[v] = 3
+            state[row] = 1
+            state[n + v] = 1
     if lost:
         recheck = lost[0] if len(lost) == 1 else np.concatenate(lost)
         around, offsets, _ = _rows(graph, recheck)
-        state[recheck] = (state[recheck] & 2) | (np.maximum.reduceat(state[around], offsets) >> 1)
+        state[recheck] = np.maximum.reduceat(state[n:][around], offsets)

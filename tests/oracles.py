@@ -335,12 +335,18 @@ def coverage_count(graph, selection) -> int:
 
 
 def full_state(graph, selection) -> tuple[np.ndarray, int]:
-    """``2·selection + covered`` as uint8, with the covered mask computed
-    from scratch by ``coverage_of_indices``, and its coverage count."""
+    """The 2n-byte uint8 state ``[covered, selection]``, with the covered
+    mask computed from scratch by ``coverage_of_indices``, and its coverage
+    count."""
     selection = np.asarray(selection, dtype=np.uint8)
     covered = np.zeros(graph.n, dtype=bool)
     count = coverage_of_indices(graph, np.flatnonzero(selection), covered)
-    return 2 * selection + covered, count
+    return np.concatenate([covered.astype(np.uint8), selection]), count
+
+
+def selection_of(state) -> np.ndarray:
+    """A writable copy of a state's selected plane, its second half."""
+    return state[len(state) // 2 :].copy()
 
 
 def sample_weight_totals(model, selection, rng: np.random.Generator, samples: int) -> np.ndarray:

@@ -34,6 +34,7 @@ from oracles import (
     full_state,
     layered_fronts,
     naive_coverage,
+    selection_of,
     sized_tournaments,
 )
 
@@ -67,9 +68,9 @@ class BoundWatch:
         spawn, rejects = algorithms._spawn_child, ParetoArchive.rejects
         score, insert = Evaluator.evaluate_from_stats, ParetoArchive.insert
 
-        def spawn_checked(parent, pos, expected_arr, row_sizes):
-            out = spawn(parent, pos, expected_arr, row_sizes)
-            bits = parent.state >> 1
+        def spawn_checked(parent, pos, n, expected_arr, row_sizes):
+            out = spawn(parent, pos, n, expected_arr, row_sizes)
+            bits = selection_of(parent.state)
             bits[pos] ^= 1
             bound = parent.g1 + out[2]
             assert naive_coverage(self.adjacency, bits) <= bound
@@ -532,7 +533,7 @@ class TestCoverageMasks:
 
         def score_checked(evaluator, feasible, parent_state, flipped):
             parents_without_mask.append(parent_state is None)
-            bits = parent_state >> 1
+            bits = selection_of(parent_state)
             bits[flipped] ^= 1
             scored.append(bits)
             return score(evaluator, feasible, parent_state, flipped)
@@ -545,8 +546,9 @@ class TestCoverageMasks:
             if child.g1 >= 0:
                 want, count = full_state(inst.graph, bits)
                 assert np.array_equal(child.state, want)
-                assert set(np.unique(child.state).tolist()) <= {0, 1, 3}
-                assert child.g1 == count == np.count_nonzero(child.state) == naive_coverage(adjacency, bits)
+                assert set(np.unique(child.state).tolist()) <= {0, 1}
+                covered = child.state[: inst.graph.n]
+                assert child.g1 == count == np.count_nonzero(covered) == naive_coverage(adjacency, bits)
                 assert not child.state.flags.writeable
             else:
                 assert child.state is None
@@ -567,10 +569,11 @@ class TestCoverageMasks:
         assert not any(parents_without_mask)
 
     @pytest.mark.parametrize("algorithm", ["gsemo", "sw-gsemo"])
-    def test_members_hold_one_byte_per_node(self, monkeypatch, algorithm):
-        # Each member holds at most one array, its full n-byte state. GSEMO
-        # members all keep theirs; SW-GSEMO drops the states of the members
-        # its window has passed.
+    def test_members_hold_two_bytes_per_node(self, monkeypatch, algorithm):
+        # Each member holds at most one array, its full 2n-byte state: the
+        # covered plane, then the selected plane. GSEMO members all keep
+        # theirs; SW-GSEMO drops the states of the members its window has
+        # passed.
         from dataclasses import fields
 
         inst = small_instance(seed=21, n=30, budget=9.0, weights="degree")
@@ -578,7 +581,7 @@ class TestCoverageMasks:
         members, archives = [], set()
 
         def capture(self, ind):
-            bits = ind.state >> 1 if ind.state is not None else None
+            bits = selection_of(ind.state) if ind.state is not None else None
             accepted = original(self, ind)
             if accepted:
                 members.append((ind, bits))
@@ -588,6 +591,7 @@ class TestCoverageMasks:
         monkeypatch.setattr(ParetoArchive, "insert", capture)
         run(inst, RunConfig(algorithm=algorithm, t_max=500, seed=5))
         assert len(members) > 10
+        n = inst.graph.n
         held = 0
         for ind, bits in members:
             arrays = [getattr(ind, f.name) for f in fields(ind)]
@@ -595,9 +599,11 @@ class TestCoverageMasks:
             assert len(arrays) <= 1
             if arrays:
                 held += 1
-                assert arrays[0].dtype == np.uint8 and arrays[0].shape == (inst.graph.n,)
-                assert arrays[0].nbytes == inst.graph.n
-                assert np.array_equal(arrays[0], full_state(inst.graph, bits)[0])
+                assert arrays[0].dtype == np.uint8 and arrays[0].shape == (2 * n,)
+                assert arrays[0].nbytes == 2 * n
+                want = full_state(inst.graph, bits)[0]
+                assert np.array_equal(arrays[0][:n], want[:n])
+                assert np.array_equal(arrays[0][n:], want[n:])
         if algorithm == "gsemo":
             assert held == len(members)
         else:

@@ -200,7 +200,7 @@ class TestEvaluate:
         adjacency = adjacency_lists(roomy.graph)
         parent = bitvec(5, [0, 3])
         # The parent is scored as the empty selection with its nodes flipped.
-        empty = np.zeros(5, dtype=np.uint8)
+        empty = np.zeros(2 * 5, dtype=np.uint8)
         _, parent_state = ev.evaluate_from_stats(ev.constraint(2, 2.0)[1], empty, np.array([0, 3]))
         assert np.array_equal(parent_state, full_state(roomy.graph, parent)[0])
         for flipped in ([2], [0, 2], [0], [0, 3], [1, 3, 4]):
@@ -219,7 +219,7 @@ class TestEvaluate:
     def test_infeasible_has_no_mask(self, toy_instance):
         ev = Evaluator(toy_instance)
         feasible = ev.constraint(5, 5.0)[1]
-        assert ev.evaluate_from_stats(feasible, np.zeros(5, dtype=np.uint8), np.arange(5)) == (-1.0, None)
+        assert ev.evaluate_from_stats(feasible, np.zeros(2 * 5, dtype=np.uint8), np.arange(5)) == (-1.0, None)
         assert ev.evaluations == 1
 
 

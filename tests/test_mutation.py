@@ -17,7 +17,7 @@ from ccsubmod.algorithms import (
 )
 from ccsubmod.stats import chi2_sf
 from conftest import random_sparse_graph
-from oracles import block_mutation_positions, full_state
+from oracles import block_mutation_positions, full_state, selection_of
 
 
 def offspring(counts, positions) -> list[list[int]]:
@@ -66,12 +66,12 @@ class TestStandardBitMutation:
             for pos in offspring(*_mutation_positions(n, rng, 300)):
                 snapshot = parent.state.copy()
                 permuted += len(pos) * (len(pos) - 1) >= n
-                size, expected, _ = _spawn_child(parent, pos, means, graph.degrees + 1)
+                size, expected, _ = _spawn_child(parent, pos, n, means, graph.degrees + 1)
                 g2, feasible = evaluator.constraint(size, expected)
                 g1, state = evaluator.evaluate_from_stats(feasible, parent.state, pos)
                 child = Individual(state=state, size=size, expected=expected, g1=g1, g2=g2)
-                selection = child.state >> 1
-                assert np.array_equal(np.flatnonzero(selection != snapshot >> 1), np.sort(pos))
+                selection = selection_of(child.state)
+                assert np.array_equal(np.flatnonzero(selection != selection_of(snapshot)), np.sort(pos))
                 assert np.array_equal(parent.state, snapshot)
                 nodes = np.flatnonzero(selection)
                 assert child.size == len(nodes)
