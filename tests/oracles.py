@@ -341,7 +341,7 @@ def full_state(graph, selection) -> tuple[np.ndarray, int]:
     selection = np.asarray(selection, dtype=np.uint8)
     covered = np.zeros(graph.n, dtype=bool)
     count = coverage_of_indices(graph, np.flatnonzero(selection), covered)
-    return np.concatenate([covered.astype(np.uint8), selection]), count
+    return np.concatenate([covered, selection]), count
 
 
 def selection_of(state) -> np.ndarray:
