@@ -26,9 +26,11 @@ record per iteration.
 
 Every algorithm draws its mutation flips with :func:`_mutation_positions`,
 many offspring at once: GSEMO and SW-GSEMO in blocks of ``_BLOCK``
-iterations, NSGA-II one generation at a time. About (1 - 1/n)^n of the
-archive loop's iterations, 37%, flip no bit. Such an offspring is its
-parent, so the iteration counts one evaluation and draws no parent.
+iterations, NSGA-II in blocks of ``max(1, _BLOCK // lambda)`` generations,
+together with the block's tournament picks and crossover switches. About
+(1 - 1/n)^n of the archive loop's iterations, 37%, flip no bit. Such an
+offspring is its parent, so the iteration counts one evaluation and draws
+no parent.
 
 Coverage is monotone and submodular, so a GSEMO or SW-GSEMO child that adds
 the nodes A to its parent covers at most ``parent.g1 + sum(|N[v]| for v in
@@ -74,10 +76,13 @@ def make_rng(*entropy: int) -> Generator:
     ``make_rng(s, c, r)``, which is the reproducibility contract for every
     published result file. A run draws from it in a fixed order: the
     archive loop draws each block's flips (see :func:`_mutation_positions`)
-    and then one parent index per iteration that flips a bit; an NSGA-II
-    generation draws its tournaments, crossover choices, crossover coins
-    and flips. Results made with the earlier per-iteration draws are not
-    reproduced.
+    and then one parent index per iteration that flips a bit. NSGA-II
+    draws, for each block of generations, all tournament picks, then all
+    crossover switches, then all flips; each generation then takes its
+    crossover coins from a buffer of uniforms that it refills when they
+    run short (see :func:`_run_nsga2`). Results made with earlier draw
+    orders (per-iteration archive draws, or NSGA-II draws one generation
+    at a time) are not reproduced.
     """
     return Generator(PCG64(SeedSequence(list(entropy))))
 
@@ -276,7 +281,9 @@ def _mutation_positions(n: int, rng: np.random.Generator, count: int) -> tuple[n
 
 _EMPTY_POSITIONS = np.empty(0, dtype=np.int64)
 
-# GSEMO and SW-GSEMO draw the flips of this many iterations at once.
+# GSEMO and SW-GSEMO draw the flips of this many iterations at once. NSGA-II
+# draws max(1, _BLOCK // lambda) generations' picks, switches and flips at
+# once, and its crossover coins at least this many at a time.
 _BLOCK = 4096
 
 
@@ -593,19 +600,17 @@ def crowding_distance(g1: np.ndarray, g2: np.ndarray, front: np.ndarray) -> np.n
     return dist
 
 
-def _tournament(
-    rank: np.ndarray, crowd: np.ndarray, rng: np.random.Generator, count: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Two rounds of ``count`` binary tournaments on (rank asc, crowding
-    desc); the first pick wins ties.
+def _tournament(rank: np.ndarray, crowd: np.ndarray, picks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Two rounds of binary tournaments on (rank asc, crowding desc); the
+    first pick wins ties.
 
-    One draw fills the rows a1, b1, a2, b2 in turn, the values and the
-    generator state four size-``count`` draws in that order would give.
+    ``picks`` holds one generation's drawn contestants, the rows a1, b1,
+    a2, b2 of shape ``(4, count)``; round i pits ``a_i`` against ``b_i``.
+    ``rank`` and ``crowd`` are gathered once over all four rows.
     """
-    picks = rng.integers(0, len(rank), size=(4, count))
-    a, b = picks[0::2], picks[1::2]
-    b_wins = (rank[b] < rank[a]) | ((rank[b] == rank[a]) & (crowd[b] > crowd[a]))
-    first, second = np.where(b_wins, b, a)
+    r, c = rank[picks], crowd[picks]
+    b_wins = (r[1::2] < r[0::2]) | ((r[1::2] == r[0::2]) & (c[1::2] > c[0::2]))
+    first, second = np.where(b_wins, picks[1::2], picks[0::2])
     return first, second
 
 
@@ -677,6 +682,15 @@ def _run_nsga2(instance: Instance, cfg: RunConfig, evaluator: Evaluator, rng: np
     children are built as keys ``child * n + node``: a child is its first
     parent, flipped where uniform crossover takes the second parent's bits
     and where mutation flips, and all children are scored in one batch.
+
+    The draws that do not depend on the population come a block of
+    ``max(1, _BLOCK // children)`` generations at a time (the last block
+    holds the generations left): first every tournament pick, then every
+    crossover switch, then the flips of every child (see
+    :func:`_mutation_positions`). The crossover coins, one per bit in
+    which a crossing child's parents differ, come from a buffer of
+    uniforms; when a generation needs more coins than the buffer has left,
+    the rest is dropped and ``max(_BLOCK, need)`` new uniforms are drawn.
     """
     n = instance.graph.n
     mu, lam = cfg.population, cfg.children
@@ -692,38 +706,50 @@ def _run_nsga2(instance: Instance, cfg: RunConfig, evaluator: Evaluator, rng: np
 
     crossover_rate = 0.9
     child_ids = np.arange(lam, dtype=np.int64)
-    for _ in range(cfg.t_max // lam):
-        parents_a, parents_b = _tournament(rank, crowd, rng, lam)
-        do_cross = rng.random(lam) < crossover_rate
-        firsts = _tagged(population, parents_a, child_ids, n)
-        # The bits in which each child's parents differ, ascending, as
-        # np.flatnonzero(p1_bits != p2_bits) would list them.
-        diff = _odd_keys(np.concatenate([firsts, _tagged(population, parents_b, child_ids, n)]))
-        # Uniform crossover flips p1's bits where p2's are taken: where a
-        # crossing child's coin falls below 1/2. One call draws a coin for
-        # every differing bit, and those of the other children are dropped.
-        taken = diff[(rng.random(len(diff)) < 0.5) & do_cross[diff // n]]
-        counts, positions = _mutation_positions(n, rng, lam)
-        mutated = np.repeat(child_ids * n, counts) + positions
-        keys = _odd_keys(np.concatenate([firsts, taken, mutated]))
-        owners = keys // n
-        nodes = keys - owners * n
-        g1, g2 = evaluator.evaluate_groups(nodes, owners, lam)
-        ends = np.searchsorted(owners, child_ids, side="right").tolist()
-        children = [nodes[lo:hi] for lo, hi in zip([0] + ends, ends)]
+    generations = cfg.t_max // lam
+    per_block = max(1, _BLOCK // lam)
+    coins, used = np.empty(0), 0
+    for start in range(0, generations, per_block):
+        block = min(per_block, generations - start)
+        picks = rng.integers(0, mu, size=(block, 4, lam))
+        crossing = rng.random((block, lam)) < crossover_rate
+        counts, positions = _mutation_positions(n, rng, block * lam)
+        mutated = np.repeat(np.tile(child_ids * n, block), counts) + positions
+        cuts = np.cumsum(counts.reshape(block, lam).sum(axis=1))[:-1]
+        for g, flipped in enumerate(np.split(mutated, cuts)):
+            parents_a, parents_b = _tournament(rank, crowd, picks[g])
+            firsts = _tagged(population, parents_a, child_ids, n)
+            # The bits in which each child's parents differ, ascending, as
+            # np.flatnonzero(p1_bits != p2_bits) would list them; only those
+            # of crossing children matter.
+            diff = _odd_keys(np.concatenate([firsts, _tagged(population, parents_b, child_ids, n)]))
+            diff = diff[crossing[g][diff // n]]
+            # Uniform crossover flips p1's bits where p2's are taken: where
+            # the bit's coin falls below 1/2.
+            need = len(diff)
+            if used + need > len(coins):
+                coins, used = rng.random(max(_BLOCK, need)), 0
+            taken = diff[coins[used:used + need] < 0.5]
+            used += need
+            keys = _odd_keys(np.concatenate([firsts, taken, flipped]))
+            owners = keys // n
+            nodes = keys - owners * n
+            g1, g2 = evaluator.evaluate_groups(nodes, owners, lam)
+            ends = np.searchsorted(owners, child_ids, side="right").tolist()
+            children = [nodes[lo:hi] for lo, hi in zip([0] + ends, ends)]
 
-        top = int(np.argmax(g1))
-        if g1[top] > best_g1:
-            best_g1, best = float(g1[top]), children[top]
+            top = int(np.argmax(g1))
+            if g1[top] > best_g1:
+                best_g1, best = float(g1[top]), children[top]
 
-        pool = population + children
-        pool_g1 = np.concatenate([pop_g1, g1])
-        pool_g2 = np.concatenate([pop_g2, g2])
-        fronts = fast_nondominated_sort(pool_g1, pool_g2)
-        peak_tradeoffs = max(peak_tradeoffs, _distinct_points(pool_g1, fronts[0]))
-        chosen, rank, crowd = _survivors(pool_g1, pool_g2, fronts, mu)
-        population = [pool[j] for j in chosen.tolist()]
-        pop_g1, pop_g2 = pool_g1[chosen], pool_g2[chosen]
+            pool = population + children
+            pool_g1 = np.concatenate([pop_g1, g1])
+            pool_g2 = np.concatenate([pop_g2, g2])
+            fronts = fast_nondominated_sort(pool_g1, pool_g2)
+            peak_tradeoffs = max(peak_tradeoffs, _distinct_points(pool_g1, fronts[0]))
+            chosen, rank, crowd = _survivors(pool_g1, pool_g2, fronts, mu)
+            population = [pool[j] for j in chosen.tolist()]
+            pop_g1, pop_g2 = pool_g1[chosen], pool_g2[chosen]
 
     # The survivors' rank 0 is their own first front: each survivor of a
     # later rank is dominated by a rank-0 survivor.

@@ -2,10 +2,14 @@
 
 The references are deliberately naive (explicit set unions, quadratic
 scans, full enumeration) and share no code with the optimized library
-paths they are used to check. Two of them pin the random stream: naive
+paths they are used to check. Some of them pin the random stream: naive
 forms of the optimizers' sized draws, which their vectorized draws must
-reproduce value for value and state for state. The Dunn marks are built
-on ``scipy.stats`` instead, and skip their test when scipy is missing.
+reproduce value for value and state for state, and an NSGA-II that
+consumes them in the library's declared order (it reads the library's
+block constant and takes g2 from ``Evaluator.constraint``, but breeds,
+sorts and selects on its own). The Dunn marks are built
+on ``scipy.stats`` instead, and the LP coverage bound on scipy's HiGHS;
+both skip their test when scipy is missing.
 
 The graph-file reference reads a file line by line with ``str.split`` and
 ``int``, the way the loader once did, and builds closed neighbourhoods
@@ -241,19 +245,149 @@ def block_mutation_positions(n: int, rng: np.random.Generator, count: int) -> li
     return out
 
 
-def sized_tournaments(rank: np.ndarray, crowd: np.ndarray, rng: np.random.Generator,
-                      count: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two rounds of binary tournaments, each contestant row drawn by its
-    own ``rng.integers(0, len(rank), size=count)`` call."""
-    winners = []
-    for _ in range(2):
-        a = rng.integers(0, len(rank), size=count)
-        b = rng.integers(0, len(rank), size=count)
-        winners.append(np.array([
-            j if rank[j] < rank[i] or (rank[j] == rank[i] and crowd[j] > crowd[i]) else i
-            for i, j in zip(a.tolist(), b.tolist())
-        ], dtype=np.int64))
-    return winners[0], winners[1]
+def sized_picks(rng: np.random.Generator, bound: int, generations: int, count: int) -> list[list[list[int]]]:
+    """Tournament contestants of ``generations`` NSGA-II generations: for
+    each generation the rows a1, b1, a2, b2, each drawn by its own
+    ``rng.integers(0, bound, size=count)`` call, generation after
+    generation."""
+    return [[rng.integers(0, bound, size=count).tolist() for _ in range(4)] for _ in range(generations)]
+
+
+def naive_tournament(rank, crowd, rows) -> tuple[list[int], list[int]]:
+    """Winners of two rounds of binary tournaments, a_i against b_i, on
+    (rank asc, crowding desc); the first pick wins ties."""
+    a1, b1, a2, b2 = rows
+
+    def winner(i: int, j: int) -> int:
+        return j if rank[j] < rank[i] or (rank[j] == rank[i] and crowd[j] > crowd[i]) else i
+
+    return [winner(i, j) for i, j in zip(a1, b1)], [winner(i, j) for i, j in zip(a2, b2)]
+
+
+def naive_crowding(points: list[tuple[float, float]], front: list[int]) -> list[float]:
+    """Crowding distances of a front's members, one objective after the
+    other; the extremes of each objective (ties broken by position in the
+    front) get +inf, and every member of a front of at most two does."""
+    size = len(front)
+    if size <= 2:
+        return [math.inf] * size
+    dist = [0.0] * size
+    for objective in (0, 1):
+        values = [points[i][objective] for i in front]
+        order = sorted(range(size), key=lambda k: values[k])
+        dist[order[0]] = dist[order[-1]] = math.inf
+        span = values[order[-1]] - values[order[0]]
+        if span > 0:
+            for k in range(1, size - 1):
+                dist[order[k]] += (values[order[k + 1]] - values[order[k - 1]]) / span
+    return dist
+
+
+def reference_nsga2(instance, cfg) -> dict:
+    """(mu + lambda) NSGA-II on 0/1 lists, one child at a time, drawing its
+    randomness in the library's declared order; returns the fields of a
+    :class:`~ccsubmod.algorithms.RunResult` that the run decides.
+
+    The run makes ``t_max // lambda`` generations. At the start of each
+    block of ``max(1, _BLOCK // lambda)`` generations (the last one holds
+    the generations left) it draws every tournament row of the block
+    (:func:`sized_picks`), then one crossover switch per child of the
+    block from ``rng.random`` (switch on below 0.9), then the flips of
+    every child of the block (:func:`block_mutation_positions`). A
+    generation picks each child's parents by :func:`naive_tournament`,
+    then, for each crossing child in turn, takes one coin per bit in which
+    its parents differ, in ascending bit order; the bit comes from the
+    second parent where the coin is below 1/2. The coins come from a
+    buffer: a generation that needs more coins than the buffer has left
+    drops the rest and draws ``max(_BLOCK, need)`` new uniforms. Then each
+    child's flips are applied. Survivors are the best layers of
+    :func:`layered_fronts` over parents then children; the first layer
+    that does not fit keeps its members with the largest
+    :func:`naive_crowding` distance (ties by position in the layer).
+
+    Coverage is :func:`naive_coverage`. The surrogate weight and g2 come
+    from the library's ``Evaluator.constraint``, whose float arithmetic
+    ``naive_surrogate`` does not repeat.
+    """
+    from ccsubmod import Evaluator, make_rng
+    from ccsubmod.algorithms import _BLOCK
+
+    n = instance.graph.n
+    mu, lam = cfg.population, cfg.children
+    rng = make_rng(*cfg.seed_tuple())
+    adjacency = adjacency_lists(instance.graph)
+    means = instance.weights.expected.tolist()
+    constraint = Evaluator(instance, cfg.regime).constraint
+
+    def score(bits: list[int]) -> tuple[float, float]:
+        chosen = [v for v in range(n) if bits[v]]
+        g2, feasible = constraint(len(chosen), float(sum(means[v] for v in chosen)))
+        return (float(naive_coverage(adjacency, bits)) if feasible else -1.0), g2
+
+    population = [[0] * n] * mu
+    points = [score(population[0])] * mu
+    rank, crowd = [0] * mu, [math.inf] * mu
+    best_g1, best_bits = points[0][0], population[0]
+    peak = 1
+    coins: list[float] = []
+    used = 0
+    generations = cfg.t_max // lam
+    per_block = max(1, _BLOCK // lam)
+    for start in range(0, generations, per_block):
+        block = min(per_block, generations - start)
+        picks = sized_picks(rng, mu, block, lam)
+        crossing = (rng.random((block, lam)) < 0.9).tolist()
+        flips = block_mutation_positions(n, rng, block * lam)
+        for g in range(block):
+            firsts, seconds = naive_tournament(rank, crowd, picks[g])
+            parents = [(population[i], population[j]) for i, j in zip(firsts, seconds)]
+            differ = [[v for v in range(n) if p1[v] != p2[v]] for p1, p2 in parents]
+            need = sum(len(d) for d, cross in zip(differ, crossing[g]) if cross)
+            if used + need > len(coins):
+                coins, used = rng.random(max(_BLOCK, need)).tolist(), 0
+            children = []
+            for c, (p1, p2) in enumerate(parents):
+                child = list(p1)
+                if crossing[g][c]:
+                    for v in differ[c]:
+                        if coins[used] < 0.5:
+                            child[v] = p2[v]
+                        used += 1
+                for v in flips[g * lam + c]:
+                    child[v] ^= 1
+                children.append(child)
+            scored = [score(child) for child in children]
+            for child, (g1, _) in zip(children, scored):
+                if g1 > best_g1:
+                    best_g1, best_bits = g1, child
+
+            pool, pool_points = population + children, points + scored
+            fronts = layered_fronts(pool_points)
+            peak = max(peak, len({pool_points[i] for i in fronts[0]}))
+            chosen, rank, crowd = [], [], []
+            for index, front in enumerate(fronts):
+                room = mu - len(chosen)
+                dist = naive_crowding(pool_points, front)
+                if len(front) > room:
+                    keep = sorted(range(len(front)), key=lambda k: -dist[k])[:room]
+                    front, dist = [front[k] for k in keep], [dist[k] for k in keep]
+                chosen += front
+                rank += [index] * len(front)
+                crowd += dist
+                if len(chosen) == mu:
+                    break
+            population = [pool[i] for i in chosen]
+            points = [pool_points[i] for i in chosen]
+
+    final = [list(points[i]) for i in range(mu) if rank[i] == 0]
+    return {
+        "best_g1": best_g1,
+        "best_bits_hex": np.packbits(np.array(best_bits, dtype=np.uint8)).tobytes().hex(),
+        "evaluations": generations * lam + 1,
+        "archive_size": len({tuple(p) for p in final}),
+        "peak_archive_size": peak,
+        "final_objectives": final,
+    }
 
 
 def dunn_marks(samples) -> list[list[str]]:
@@ -282,6 +416,56 @@ def dunn_marks(samples) -> list[list[str]]:
         if z != 0.0 and 2.0 * stats.norm.sf(abs(z)) <= 0.05 / (k * (k - 1) / 2):
             marks[i][j], marks[j][i] = ("+", "-") if z > 0 else ("-", "+")
     return marks
+
+
+def lp_coverage_bound(graph, k: int) -> float:
+    """Optimum of the LP relaxation of max coverage under ``|x| <= k``, a
+    sound upper bound on the coverage of any selection of at most k nodes.
+
+    Maximize ``sum(y)`` over ``0 <= x, y <= 1`` with ``y_u <= sum of x_v
+    over v in N[u]`` and ``sum(x) <= k``, solved by scipy's HiGHS through
+    ``linprog``; skips the calling test when scipy is missing.
+    """
+    optimize = pytest.importorskip("scipy.optimize")
+    sparse = pytest.importorskip("scipy.sparse")
+    n = graph.n
+    adjacency = adjacency_lists(graph)
+    rows, cols, vals = [], [], []
+    for u in range(n):
+        # y_u - x_u - sum of x_v over u's neighbours <= 0; columns are x, then y.
+        for v in [u, *adjacency[u]]:
+            rows.append(u)
+            cols.append(v)
+            vals.append(-1.0)
+        rows.append(u)
+        cols.append(n + u)
+        vals.append(1.0)
+    rows += [n] * n
+    cols += list(range(n))
+    vals += [1.0] * n
+    a_ub = sparse.csr_matrix((vals, (rows, cols)), shape=(n + 1, 2 * n))
+    b_ub = np.zeros(n + 1)
+    b_ub[n] = k
+    cost = np.concatenate([np.zeros(n), -np.ones(n)])
+    result = optimize.linprog(cost, A_ub=a_ub, b_ub=b_ub, bounds=(0, 1), method="highs")
+    assert result.status == 0, result.message
+    return -float(result.fun)
+
+
+def greedy_coverage(graph, k: int) -> int:
+    """Coverage of the greedy selection of k nodes, each step adding the
+    node that covers the most uncovered nodes (the lowest id on ties).
+    Greedy covers at least ``(1 - 1/e)`` of the optimum (Nemhauser, Wolsey
+    and Fisher 1978)."""
+    closed = [{v, *row} for v, row in enumerate(adjacency_lists(graph))]
+    covered: set[int] = set()
+    for _ in range(k):
+        gains = [len(row - covered) for row in closed]
+        best = max(range(graph.n), key=lambda v: (gains[v], -v))
+        if gains[best] == 0:
+            break
+        covered |= closed[best]
+    return len(covered)
 
 
 def bits_from_hex(hex_string: str, n: int) -> np.ndarray:

@@ -32,10 +32,15 @@ from oracles import (
     coverage_count,
     exhaustive_optimum,
     full_state,
+    greedy_coverage,
     layered_fronts,
+    lp_coverage_bound,
     naive_coverage,
+    naive_surrogate,
+    naive_tournament,
+    reference_nsga2,
     selection_of,
-    sized_tournaments,
+    sized_picks,
 )
 
 
@@ -439,6 +444,23 @@ class TestNsga2:
         result = run(inst, cfg)
         assert result.evaluations == 10 + 1  # one generation of children + initial
 
+    @pytest.mark.parametrize("t_max", [4_089, 4_090, 4_099, 4_100, 8_185, 9_000])
+    def test_evaluations_across_block_boundaries(self, monkeypatch, t_max):
+        # A λ=10 block holds 409 generations, 4090 evaluations: one batch of
+        # λ children per generation plus the initial individual, whether
+        # t_max ends inside a block, at its end or past it.
+        batches = []
+        original = Evaluator.evaluate_groups
+
+        def counted(self, nodes, groups, count):
+            batches.append(count)
+            return original(self, nodes, groups, count)
+
+        monkeypatch.setattr(Evaluator, "evaluate_groups", counted)
+        result = run(small_instance(seed=12), RunConfig(algorithm="nsga2", t_max=t_max, seed=1))
+        assert result.evaluations == (t_max // 10) * 10 + 1
+        assert batches == [1] + [10] * (t_max // 10)
+
     def test_lambda_cannot_exceed_mu(self):
         with pytest.raises(ValueError):
             RunConfig(algorithm="nsga2", t_max=100, seed=0, population=10, children=20)
@@ -461,20 +483,124 @@ class TestNsga2:
         assert a.best_bits_hex == b.best_bits_hex
 
 
+class TestCertifiedBound:
+    """Every algorithm against a certified optimum at CSphd size.
+
+    The graph is ``perfbench/graphgen.py``'s CSphd-size graph with seed 11
+    (n = 1882), under iid weights (a = 1, d = 0.5), Chebyshev, alpha = 0.1
+    and B = 94. The surrogate then depends only on |x|, so the chance
+    constraint is the cardinality bound k* = 85, and the LP relaxation of
+    max coverage under |x| <= k* bounds every feasible selection.
+    """
+
+    T_MAX = 40_000
+
+    @pytest.fixture(scope="class")
+    def setting(self):
+        import sys
+        from pathlib import Path
+
+        from ccsubmod.graphs import Graph
+
+        perfbench = str(Path(__file__).resolve().parents[1] / "perfbench")
+        sys.path.insert(0, perfbench)
+        try:
+            import graphgen
+        finally:
+            sys.path.remove(perfbench)
+
+        spec = graphgen.CSPHD
+        graph = Graph.from_edges(spec.n, graphgen.generate(spec, 11))
+        budget = float(spec.n // 20)
+        inst = Instance(graph=graph, weights=make_iid_weights(spec.n, 1, 0.5), budget=budget, alpha=0.1,
+                        surrogate=SurrogateKind.CHEBYSHEV)
+        k_star = max(k for k in range(spec.n + 1) if naive_surrogate(k, k, 0.5, 0.1, "chebyshev") <= budget)
+        return inst, k_star, lp_coverage_bound(graph, k_star), greedy_coverage(graph, k_star)
+
+    def test_lp_bound_is_integral_and_greedy_meets_it(self, setting):
+        _, k_star, bound, greedy = setting
+        assert k_star == 85
+        assert bound == pytest.approx(705, abs=1e-6) and greedy == 705
+
+    @pytest.mark.parametrize("algorithm,population,children", [
+        ("gsemo", 20, 10), ("sw-gsemo", 20, 10), ("nsga2", 20, 10), ("nsga2", 100, 50),
+    ])
+    def test_best_g1_between_greedy_guarantee_and_lp_bound(self, setting, algorithm, population, children):
+        # (1 - 1/e) * greedy only catches gross breakage: at this t_max the
+        # slowest column, NSGA-II-100, reads about 520-600 over run seeds.
+        inst, _, bound, greedy = setting
+        result = run(inst, RunConfig(algorithm=algorithm, t_max=self.T_MAX, seed=(21, population),
+                                     population=population, children=children))
+        assert (1 - 1 / math.e) * greedy <= result.best_g1 <= bound + 1e-6
+
+
 class TestTournament:
     @pytest.mark.parametrize("pool", [20, 100, 150])
     @pytest.mark.parametrize("count", [1, 7, 10, 50])
     def test_parents_and_state_match_sized_draws(self, pool, count):
-        # Ranks and crowding distances with ties, so both tie rules decide.
+        # One (generations, 4, count) draw gives the values and leaves the
+        # generator state of four sized draws per generation, generation
+        # after generation. Ranks and crowding distances with ties, so both
+        # tie rules decide.
         setup = make_rng(pool, count)
         rank = setup.integers(0, 4, size=pool)
         crowd = setup.choice([0.5, 1.0, np.inf], size=pool)
         rng, reference = make_rng(count, pool), make_rng(count, pool)
-        for _ in range(50):
-            got = _tournament(rank, crowd, rng, count)
-            want = sized_tournaments(rank, crowd, reference, count)
-            assert [g.tolist() for g in got] == [w.tolist() for w in want]
+        for generations in (1, 3, 409, 2):
+            picks = rng.integers(0, pool, size=(generations, 4, count))
+            rows = sized_picks(reference, pool, generations, count)
             assert rng.bit_generator.state == reference.bit_generator.state
+            assert picks.tolist() == rows
+            for drawn, want in zip(picks, rows):
+                got = _tournament(rank, crowd, drawn)
+                assert [g.tolist() for g in got] == list(naive_tournament(rank.tolist(), crowd.tolist(), want))
+
+
+def _result_fields(result) -> dict:
+    return {
+        "best_g1": result.best_g1,
+        "best_bits_hex": result.best_bits_hex,
+        "evaluations": result.evaluations,
+        "archive_size": result.archive_size,
+        "peak_archive_size": result.peak_archive_size,
+        "final_objectives": [[o.g1, o.g2] for o in result.final_objectives],
+    }
+
+
+class TestNsga2Reference:
+    """NSGA-II runs equal a per-child reference that draws in the declared
+    order (``oracles.reference_nsga2``)."""
+
+    # (mu, lambda, t_max): each of the first four spans more than one
+    # block of max(1, 4096 // lambda) generations, ends inside a partial
+    # block and, for lambda > 1, leaves a remainder of fewer than lambda
+    # evaluations; the last two run no generation at all.
+    SIZES = [(20, 10, 4597), (100, 50, 4570), (5, 1, 4396), (7, 7, 4378), (100, 50, 30), (20, 10, 9)]
+
+    @pytest.mark.parametrize("mu,lam,t_max", SIZES)
+    @pytest.mark.parametrize("weights,surrogate,regime", [
+        ("iid", SurrogateKind.CHERNOFF, G2Regime.EXPECTED),
+        ("degree", SurrogateKind.CHEBYSHEV, G2Regime.SURROGATE),
+    ])
+    def test_run_matches_reference(self, mu, lam, t_max, weights, surrogate, regime):
+        inst = small_instance(seed=3, n=14, budget=8.0, surrogate=surrogate, weights=weights)
+        cfg = RunConfig(algorithm="nsga2", t_max=t_max, seed=(5, mu, lam), population=mu, children=lam,
+                        regime=regime)
+        result = _result_fields(run(inst, cfg))
+        assert result == reference_nsga2(inst, cfg)
+        assert result["evaluations"] == (t_max // lam) * lam + 1
+
+    @pytest.mark.parametrize("mu,lam", [(20, 10), (100, 50), (7, 7)])
+    def test_small_blocks_and_coin_refills_match_reference(self, monkeypatch, mu, lam):
+        # With a block constant of 16, a λ=50 block holds one generation,
+        # and a generation often needs more than 16 coins, so the coin
+        # buffer is refilled with exactly as many as it needs.
+        from ccsubmod import algorithms
+
+        monkeypatch.setattr(algorithms, "_BLOCK", 16)
+        inst = small_instance(seed=4, n=30, budget=12.0, weights="degree")
+        cfg = RunConfig(algorithm="nsga2", t_max=1_003, seed=(6, mu), population=mu, children=lam)
+        assert _result_fields(run(inst, cfg)) == reference_nsga2(inst, cfg)
 
 
 def _fronts(points):
