@@ -37,7 +37,8 @@ the nodes A to its parent covers at most ``parent.g1 + sum(|N[v]| for v in
 A)`` nodes. When the archive would reject a feasible child even at that
 bound, the child is counted as an evaluation but its coverage is bounded,
 not computed: the archive and the best solution are what scoring it would
-leave. A traced run scores every child, so that its g1 column is exact.
+leave. A traced run takes the same steps: its row for such a child holds
+g1 NaN.
 """
 
 from __future__ import annotations
@@ -406,9 +407,10 @@ class RunConfig:
 # One record per iteration of a traced archive-based run (row i is iteration
 # i + 1): the parent's g2, the offspring's objectives, whether the archive
 # took it, and whether the parent came from a window of how many members.
-# An iteration that flips no bit selects no parent: its row holds NaN
-# objectives, accepted and in_window 0, and the occupancy of the window at
-# that t.
+# An offspring the archive rejects at its coverage bound is not scored: its
+# row holds g1 NaN. An iteration that flips no bit selects no parent: its
+# row is _NO_PARENT, NaN objectives and parent_g2, accepted and in_window
+# False, and window_count 0.
 TRACE_DTYPE = np.dtype([
     ("parent_g2", np.float64),
     ("g1", np.float64),
@@ -417,6 +419,7 @@ TRACE_DTYPE = np.dtype([
     ("in_window", np.bool_),
     ("window_count", np.uint32),
 ])
+_NO_PARENT = np.array((math.nan, math.nan, math.nan, False, False, 0), TRACE_DTYPE)[()]
 
 
 @dataclass
@@ -494,9 +497,8 @@ def _run_archive_loop(instance: Instance, cfg: RunConfig, evaluator: Evaluator, 
     archive = ParetoArchive()
     archive.insert(root)
     best = root
-    trace = np.zeros(t_max, TRACE_DTYPE).view(np.recarray) if cfg.trace else None
-    # A traced run scores every child, so that its g1 column is exact.
-    bounded = trace is None
+    # A row the loop leaves as filled is an iteration that flipped no bit.
+    trace = np.full(t_max, _NO_PARENT).view(np.recarray) if cfg.trace else None
     row_sizes = instance.graph.degrees + 1
     draw = _index_draw(rng)
 
@@ -505,22 +507,13 @@ def _run_archive_loop(instance: Instance, cfg: RunConfig, evaluator: Evaluator, 
         counts, positions = _mutation_positions(n, rng, block)
         flips, positions = counts.tolist(), positions.tolist()
         # A zero-flip offspring is its parent: it counts as one evaluation
-        # and changes nothing, so it draws no parent. Only a trace visits it.
+        # and changes nothing, so it draws no parent.
         steps = np.flatnonzero(counts).tolist()
         evaluator.evaluations += block - len(steps)
-        if trace is not None:
-            steps = range(block)
         end = 0
         for i in steps:
             t = start + i + 1
             k = flips[i]
-            if not k:
-                occ = 0
-                if sliding:
-                    i0, i1 = archive.index_range(*_window(t, t_max, budget))
-                    occ = i1 - i0
-                trace[t - 1] = (math.nan, math.nan, math.nan, False, False, occ)
-                continue
             pos = positions[end:end + k]
             end += k
             if sliding:
@@ -529,12 +522,14 @@ def _run_archive_loop(instance: Instance, cfg: RunConfig, evaluator: Evaluator, 
                 parent, in_window, occ = archive.uniform_member(draw), False, 0
             size, expected, gain = _spawn_child(parent, pos, n, expected_arr, row_sizes)
             g2, feasible = evaluator.constraint(size, expected)
-            if bounded and feasible and archive.rejects(parent.g1 + gain, g2):
+            if feasible and archive.rejects(parent.g1 + gain, g2):
                 # The archive rejects the child at its coverage bound, so at
                 # its exact coverage too. A member then covers at least as
                 # much, so the child is no new best either. It counts as one
                 # evaluation.
                 evaluator.evaluations += 1
+                if trace is not None:
+                    trace[t - 1] = (parent.g2, math.nan, g2, False, in_window, occ)
                 continue
             g1, state = evaluator.evaluate_from_stats(feasible, parent.state, pos)
             child = Individual(state=state, size=size, expected=expected, g1=g1, g2=g2)

@@ -604,8 +604,9 @@ def emit_table(results: ResultSet, out_dir: str | Path) -> tuple[Path, Path]:
 def emit_trace(result: RunResult, path: str | Path) -> Path:
     """Write a run's per-iteration trace as CSV: ``t``, then one column per
     :data:`~ccsubmod.algorithms.TRACE_DTYPE` field, with flags as 0/1. One
-    row per iteration is enough to reconstruct both the accepted-offspring
-    scatter and the window occupancy over time.
+    row per iteration is enough to reconstruct the accepted-offspring
+    scatter, and the window occupancy at every iteration that selects a
+    parent; a zero-flip row selects none and reads 0.
     """
     trace = result.trace
     if trace is None:

@@ -4,10 +4,10 @@ The references are deliberately naive (explicit set unions, quadratic
 scans, full enumeration) and share no code with the optimized library
 paths they are used to check. Some of them pin the random stream: naive
 forms of the optimizers' sized draws, which their vectorized draws must
-reproduce value for value and state for state, and an NSGA-II that
-consumes them in the library's declared order (it reads the library's
-block constant and takes g2 from ``Evaluator.constraint``, but breeds,
-sorts and selects on its own). The Dunn marks are built
+reproduce value for value and state for state, and a GSEMO/SW-GSEMO and
+an NSGA-II that consume them in the library's declared order (they read
+the library's block constant and take g2 from ``Evaluator.constraint``,
+but select, breed, sort and archive on their own). The Dunn marks are built
 on ``scipy.stats`` instead, and the LP coverage bound on scipy's HiGHS;
 both skip their test when scipy is missing.
 
@@ -283,6 +283,102 @@ def naive_crowding(points: list[tuple[float, float]], front: list[int]) -> list[
     return dist
 
 
+def _reference_score(instance, regime):
+    """``score(bits)``: the (g1, g2) of a 0/1 list, g1 by
+    :func:`naive_coverage` (-1 when infeasible), g2 and feasibility from
+    the library's ``Evaluator.constraint``, whose float arithmetic
+    ``naive_surrogate`` does not repeat."""
+    from ccsubmod import Evaluator
+
+    n = instance.graph.n
+    adjacency = adjacency_lists(instance.graph)
+    means = instance.weights.expected.tolist()
+    constraint = Evaluator(instance, regime).constraint
+
+    def score(bits: list[int]) -> tuple[float, float]:
+        chosen = [v for v in range(n) if bits[v]]
+        g2, feasible = constraint(len(chosen), float(sum(means[v] for v in chosen)))
+        return (float(naive_coverage(adjacency, bits)) if feasible else -1.0), g2
+
+    return score
+
+
+def reference_archive_loop(instance, cfg) -> dict:
+    """GSEMO or SW-GSEMO on 0/1 lists, scoring every child, drawing its
+    randomness in the library's declared order; returns the fields of a
+    :class:`~ccsubmod.algorithms.RunResult` that the run decides, and its
+    trace as a ``TRACE_DTYPE`` array.
+
+    At the start of each block of ``_BLOCK`` iterations (the last one holds
+    the iterations left) it draws the flips of every offspring of the block
+    (:func:`block_mutation_positions`). An iteration that flips no bit
+    draws nothing and writes the no-parent row. Any other draws its parent
+    with one ``rng.integers(bound)`` over a pool: the whole archive for
+    ``gsemo``; for ``sw-gsemo`` the members with g2 in ``[floor(c),
+    ceil(c)]``, ``c = (t / t_max) * B``, or, when that window is empty, the
+    best-coverage member below it alone. The child is scored (see
+    :func:`_reference_score`) and offered to a staircase archive kept as a
+    list: it is rejected when a member strictly dominates it, and otherwise
+    replaces the members it weakly dominates. Its trace row holds its exact
+    g1, so on the rows where the library's g1 is NaN (a child rejected at
+    its coverage bound) this reference's ``accepted`` must be False.
+    """
+    from ccsubmod import make_rng
+    from ccsubmod.algorithms import _BLOCK, TRACE_DTYPE
+
+    n = instance.graph.n
+    t_max, budget = cfg.t_max, instance.budget
+    sliding = cfg.algorithm == "sw-gsemo"
+    rng = make_rng(*cfg.seed_tuple())
+    score = _reference_score(instance, cfg.regime)
+
+    root = [0] * n
+    archive = [(*score(root), root)]  # (g1, g2, bits), g2 ascending
+    best_g1, best_bits = archive[0][0], root
+    peak = 1
+    rows = []
+    for start in range(0, t_max, _BLOCK):
+        for i, flips in enumerate(block_mutation_positions(n, rng, min(_BLOCK, t_max - start))):
+            t = start + i + 1
+            if not flips:
+                rows.append((math.nan, math.nan, math.nan, False, False, 0))
+                continue
+            pool, occupancy = archive, 0
+            if sliding:
+                c = t / t_max * budget
+                window = [m for m in archive if math.floor(c) <= m[1] <= math.ceil(c)]
+                below = [m for m in archive if m[1] < math.floor(c)]
+                occupancy = len(window)
+                if window:
+                    pool = window
+                elif below:
+                    pool = [max(below, key=lambda m: m[0])]
+            # rng.integers(1) returns 0 and draws nothing.
+            parent = pool[int(rng.integers(len(pool)))]
+            child = list(parent[2])
+            for v in flips:
+                child[v] ^= 1
+            g1, g2 = score(child)
+            accepted = not any(a >= g1 and b <= g2 and (a > g1 or b < g2) for a, b, _ in archive)
+            if accepted:
+                archive = sorted([m for m in archive if not (g1 >= m[0] and g2 <= m[1])] + [(g1, g2, child)],
+                                 key=lambda m: m[1])
+                peak = max(peak, len(archive))
+            if g1 > best_g1:
+                best_g1, best_bits = g1, child
+            rows.append((parent[1], g1, g2, accepted, occupancy > 0, occupancy))
+
+    return {
+        "best_g1": best_g1,
+        "best_bits_hex": np.packbits(np.array(best_bits, dtype=np.uint8)).tobytes().hex(),
+        "evaluations": t_max + 1,
+        "archive_size": len(archive),
+        "peak_archive_size": peak,
+        "final_objectives": [[g1, g2] for g1, g2, _ in archive],
+        "trace": np.array(rows, dtype=TRACE_DTYPE),
+    }
+
+
 def reference_nsga2(instance, cfg) -> dict:
     """(mu + lambda) NSGA-II on 0/1 lists, one child at a time, drawing its
     randomness in the library's declared order; returns the fields of a
@@ -305,24 +401,15 @@ def reference_nsga2(instance, cfg) -> dict:
     that does not fit keeps its members with the largest
     :func:`naive_crowding` distance (ties by position in the layer).
 
-    Coverage is :func:`naive_coverage`. The surrogate weight and g2 come
-    from the library's ``Evaluator.constraint``, whose float arithmetic
-    ``naive_surrogate`` does not repeat.
+    Children are scored by :func:`_reference_score`.
     """
-    from ccsubmod import Evaluator, make_rng
+    from ccsubmod import make_rng
     from ccsubmod.algorithms import _BLOCK
 
     n = instance.graph.n
     mu, lam = cfg.population, cfg.children
     rng = make_rng(*cfg.seed_tuple())
-    adjacency = adjacency_lists(instance.graph)
-    means = instance.weights.expected.tolist()
-    constraint = Evaluator(instance, cfg.regime).constraint
-
-    def score(bits: list[int]) -> tuple[float, float]:
-        chosen = [v for v in range(n) if bits[v]]
-        g2, feasible = constraint(len(chosen), float(sum(means[v] for v in chosen)))
-        return (float(naive_coverage(adjacency, bits)) if feasible else -1.0), g2
+    score = _reference_score(instance, cfg.regime)
 
     population = [[0] * n] * mu
     points = [score(population[0])] * mu

@@ -395,13 +395,14 @@ class TestTrace:
     # sha256 of the CSV of three seeded 3000-iteration runs on one 40-node
     # graph, iid weights under the surrogate and degree weights under the
     # expected weight. The runs hold infeasible, rejected and accepted
-    # offspring, zero-flip rows (NaN objectives), and empty, single and
-    # double windows, so a change to any column or to how it is written
-    # shows up here.
+    # offspring, offspring rejected at their coverage bound (g1 NaN),
+    # zero-flip rows (NaN objectives), and empty, single and double
+    # windows, so a change to any column or to how it is written shows up
+    # here.
     PINNED_TRACES = {
-        ("sw-gsemo", "iid"): "247de5fb6cf3809abeb2c9717dafe9c50f93f65b9dcd31d672c63374b6d158cf",
-        ("gsemo", "degree"): "80bc3d499cf399a2cd972660a420784bd1f43af46e254ffea5cb11442bc08cbc",
-        ("sw-gsemo", "degree"): "7a499e8c37f5a7418f0517cc0357b02fec8deacda48f44202a898b298d187390",
+        ("sw-gsemo", "iid"): "c01a22894d20d778b0bddbbf189190f23035d7629c44ff932786806a484e5c90",
+        ("gsemo", "degree"): "43201544d9147c4230a3c68a286f546e2c7e536869a3e5e17572306956c1368c",
+        ("sw-gsemo", "degree"): "faac4dda3f72269f620a0f86295ef9e61dda9f6f39ac8159608edc5904410e72",
     }
 
     @pytest.mark.parametrize("algorithm, weights", sorted(PINNED_TRACES))
