@@ -5,9 +5,11 @@ Three algorithms share the bi-objective fitness from :mod:`ccsubmod.chance`:
 * ``gsemo``: keeps an archive of mutually non-dominated solutions, picks a
   parent uniformly at random, applies standard bit mutation, and inserts the
   offspring unless some member strictly dominates it (removing every member
-  the offspring weakly dominates). Each member holds its coverage and its
-  selection as one state of two n-byte planes, covered nodes first (see
-  :func:`ccsubmod.graphs.update_coverage`), from which a child's is updated.
+  the offspring weakly dominates). The empty selection dominates every
+  infeasible offspring, so such an offspring is never scored. Each member
+  holds its coverage and its selection as one state of two n-byte planes,
+  covered nodes first (see :func:`ccsubmod.graphs.update_coverage`), from
+  which a child's is updated.
 * ``sw-gsemo``: same loop, but the parent comes from a weight window
   ``[floor(c), ceil(c)]`` with ``c = (t / t_max) * B`` sliding linearly from
   0 to the budget over the run. A member the window has passed can never be
@@ -38,7 +40,8 @@ A)`` nodes. When the archive would reject a feasible child even at that
 bound, the child is counted as an evaluation but its coverage is bounded,
 not computed: the archive and the best solution are what scoring it would
 leave. A traced run takes the same steps: its row for such a child holds
-g1 NaN.
+g1 NaN, and its row for an infeasible child, never scored either, holds
+g1 -1.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ import numpy as np
 # lazily, which would put the import (about 8 ms) inside that run's wall time.
 from numpy.random import PCG64, Generator, SeedSequence
 
-from .chance import Evaluator, G2Regime, Objectives
+from .chance import INFEASIBLE_G1, Evaluator, G2Regime, Objectives
 from .problem import Instance
 
 __all__ = [
@@ -134,11 +137,11 @@ def _index_draw(rng: np.random.Generator) -> Callable[[int], int]:
 class Individual:
     """A selection with its cached objectives.
 
-    ``state`` is the read-only uint8 state of a feasible selection, 2n bytes
-    of 0/1: ``state[:n]`` marks the covered nodes and ``state[n:]`` the
-    selected ones, so the selection is ``state[n:]``. It is None when the
-    selection is infeasible, or when a sliding window has passed the member
-    (see :meth:`ParetoArchive.raise_floor`).
+    ``state`` is the read-only uint8 state of the selection, 2n bytes of
+    0/1: ``state[:n]`` marks the covered nodes and ``state[n:]`` the
+    selected ones, so the selection is ``state[n:]``. It is None once a
+    sliding window has passed the member (see
+    :meth:`ParetoArchive.raise_floor`).
     """
 
     state: np.ndarray | None
@@ -155,6 +158,11 @@ class ParetoArchive:
     increasing along the list) because any violation would be a dominance
     relation. There is at most one member per distinct g2 value; inserting an
     exact duplicate objective pair replaces the older member.
+
+    An archive run inserts the empty selection first, at (0, 0); only
+    another empty selection can replace it. So it lies below every window
+    whose floor is at least 1, and it dominates every infeasible selection
+    (g1 -1, g2 > 0), which the loop therefore never offers.
 
     ``floor`` is the lower edge of a sliding selection window, -inf for an
     archive without one. Of the members with g2 below it, only the last can
@@ -319,13 +327,6 @@ def _spawn_child(
 # Sliding-window parent selection
 # ---------------------------------------------------------------------------
 
-def _window(t: int, t_max: int, budget: float) -> tuple[int, int]:
-    """The weight window ``(floor(c), ceil(c))`` of iteration t, with
-    ``c = (t / t_max) * budget``."""
-    c_hat = (t / t_max) * budget
-    return math.floor(c_hat), math.ceil(c_hat)
-
-
 def _sliding_select(
     archive: ParetoArchive,
     t: int,
@@ -333,23 +334,23 @@ def _sliding_select(
     budget: float,
     draw: Callable[[int], int],
 ) -> tuple[Individual, bool, int]:
-    """Pick a parent from the sliding weight window.
+    """Pick a parent from the sliding weight window of iteration t.
 
     Candidates are the members whose g2 lies in the window
-    ``[floor(c), ceil(c)]`` of :func:`_window`; ``draw`` (see
+    ``[floor(c), ceil(c)]``, ``c = (t / t_max) * budget``; ``draw`` (see
     :func:`_index_draw`) chooses one uniformly at random.
     Returns (parent, in_window, window occupancy). When the window is empty
-    the best-coverage member below it is used instead (``in_window`` False),
-    and past ``t_max`` selection reverts to uniform over the whole archive.
+    the best-coverage member below it is used instead (``in_window`` False):
+    the empty selection lies in or below every window (see
+    :class:`ParetoArchive`). The archive loop calls it with 1 <= t <= t_max.
 
     A run calls it with t rising, so c never decreases: the archive's floor
     follows floor(c), and the members the window has passed drop their
     states (see :meth:`ParetoArchive.raise_floor`). The best member tops
     the staircase, so it keeps its state.
     """
-    if t > t_max or t_max < 1:
-        return archive.uniform_member(draw), False, 0
-    lo, hi = _window(t, t_max, budget)
+    c_hat = (t / t_max) * budget
+    lo, hi = math.floor(c_hat), math.ceil(c_hat)
     if lo > archive.floor:
         archive.raise_floor(lo)
     i0, i1 = archive.index_range(lo, hi)
@@ -364,10 +365,6 @@ def _sliding_select(
     # g1 ties cannot occur between archive members. No member has
     # g2 == floor(c), since it would lie in the window, so that member
     # sits just before the window's start.
-    if i0 == 0:
-        # Unreachable while the empty selection (g2 = 0) stays archived;
-        # fall back to uniform selection for totality.
-        return archive.uniform_member(draw), False, 0
     return members[i0 - 1], False, 0
 
 
@@ -407,10 +404,10 @@ class RunConfig:
 # One record per iteration of a traced archive-based run (row i is iteration
 # i + 1): the parent's g2, the offspring's objectives, whether the archive
 # took it, and whether the parent came from a window of how many members.
-# An offspring the archive rejects at its coverage bound is not scored: its
-# row holds g1 NaN. An iteration that flips no bit selects no parent: its
-# row is _NO_PARENT, NaN objectives and parent_g2, accepted and in_window
-# False, and window_count 0.
+# Infeasible offspring and those the archive rejects at their coverage bound
+# are not scored: their rows hold g1 -1 and g1 NaN, and accepted False. An
+# iteration that flips no bit selects no parent: its row is _NO_PARENT, NaN
+# objectives and parent_g2, accepted and in_window False, and window_count 0.
 TRACE_DTYPE = np.dtype([
     ("parent_g2", np.float64),
     ("g1", np.float64),
@@ -481,8 +478,8 @@ def _run_archive_loop(instance: Instance, cfg: RunConfig, evaluator: Evaluator, 
     The flips of up to ``_BLOCK`` iterations are drawn at once, then each
     iteration that flips a bit draws its parent with ``rng``'s index draw
     (see :func:`_index_draw`). ``_sliding_select`` sees the iteration's own
-    t: its window only moves up, so an iteration without flips that leaves
-    it unraised changes nothing.
+    t, 1 <= t <= t_max: its window only moves up, so an iteration without
+    flips that leaves it unraised changes nothing.
     """
     sliding = cfg.algorithm == "sw-gsemo"
     n = instance.graph.n
@@ -490,9 +487,9 @@ def _run_archive_loop(instance: Instance, cfg: RunConfig, evaluator: Evaluator, 
     budget = instance.budget
     t_max = cfg.t_max
 
-    # The empty selection is feasible, as the budget is positive.
-    g2, feasible = evaluator.constraint(0, 0.0)
-    g1, state = evaluator.evaluate_from_stats(feasible, np.zeros(2 * n, dtype=np.uint8), [])
+    # The empty selection is feasible (see Instance).
+    g2, _ = evaluator.constraint(0, 0.0)
+    g1, state = evaluator.evaluate_from_stats(np.zeros(2 * n, dtype=np.uint8), [])
     root = Individual(state=state, size=0, expected=0.0, g1=g1, g2=g2)
     archive = ParetoArchive()
     archive.insert(root)
@@ -522,16 +519,18 @@ def _run_archive_loop(instance: Instance, cfg: RunConfig, evaluator: Evaluator, 
                 parent, in_window, occ = archive.uniform_member(draw), False, 0
             size, expected, gain = _spawn_child(parent, pos, n, expected_arr, row_sizes)
             g2, feasible = evaluator.constraint(size, expected)
-            if feasible and archive.rejects(parent.g1 + gain, g2):
-                # The archive rejects the child at its coverage bound, so at
-                # its exact coverage too. A member then covers at least as
-                # much, so the child is no new best either. It counts as one
-                # evaluation.
+            if not feasible or archive.rejects(parent.g1 + gain, g2):
+                # The empty selection dominates an infeasible child, and a
+                # child the archive rejects at its coverage bound it rejects
+                # at its exact coverage too. A member then covers at least
+                # as much, so the child is no new best either. It counts as
+                # one evaluation.
                 evaluator.evaluations += 1
                 if trace is not None:
-                    trace[t - 1] = (parent.g2, math.nan, g2, False, in_window, occ)
+                    g1 = math.nan if feasible else INFEASIBLE_G1
+                    trace[t - 1] = (parent.g2, g1, g2, False, in_window, occ)
                 continue
-            g1, state = evaluator.evaluate_from_stats(feasible, parent.state, pos)
+            g1, state = evaluator.evaluate_from_stats(parent.state, pos)
             child = Individual(state=state, size=size, expected=expected, g1=g1, g2=g2)
             accepted = archive.insert(child)
             if child.g1 > best.g1:

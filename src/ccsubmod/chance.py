@@ -30,7 +30,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .graphs import coverage_of_groups, coverage_of_indices, update_coverage
-from .problem import Instance, SurrogateKind, WeightModel
+from .problem import Instance, tail_coefficient
 
 __all__ = [
     "G2Regime",
@@ -64,23 +64,14 @@ class Objectives(NamedTuple):
     g2: float
 
 
-def _tail_coefficient(model: WeightModel, alpha: float, kind: SurrogateKind) -> float:
-    """c such that the surrogate equals E(x) + c * sqrt(|x|)."""
-    d = model.dispersion
-    if kind is SurrogateKind.CHEBYSHEV:
-        return math.sqrt((1.0 - alpha) * d * d / (3.0 * alpha))
-    # ln(1/alpha) computed as -ln(alpha)
-    return math.sqrt(3.0 * d * -math.log(alpha))
-
-
 class Evaluator:
     """Per-(instance, regime) fitness evaluator with precomputed constants.
 
     The evaluation count is the budget currency of every optimizer run, so
     this object also tracks how many selections it has scored; the archive
-    loop adds the children whose coverage it bounds instead of scoring them.
-    Coverage is only computed for feasible selections; infeasible ones
-    short-circuit to the sentinel.
+    loop adds the children it does not score: the infeasible ones and those
+    whose coverage it bounds. Coverage is only computed for feasible
+    selections; infeasible ones short-circuit to the sentinel.
     """
 
     def __init__(self, instance: Instance, regime: G2Regime = G2Regime.SURROGATE):
@@ -88,9 +79,7 @@ class Evaluator:
         self.graph = instance.graph
         self.model = instance.weights
         self.budget = float(instance.budget)
-        self.tail_coefficient = _tail_coefficient(
-            instance.weights, instance.alpha, instance.surrogate
-        )
+        self.tail_coefficient = tail_coefficient(instance.weights, instance.alpha, instance.surrogate)
         self.evaluations = 0
 
     def surrogate_from(self, expected: float, size: int) -> float:
@@ -107,21 +96,16 @@ class Evaluator:
         sg = self.surrogate_from(expected, size)
         return (sg if self.regime is G2Regime.SURROGATE else expected), sg <= self.budget
 
-    def evaluate_from_stats(
-        self, feasible: bool, parent_state: np.ndarray, flipped: list[int]
-    ) -> tuple[float, np.ndarray | None]:
-        """``(g1, state)`` of the child of a selection, given whether
-        :meth:`constraint` finds the child feasible.
+    def evaluate_from_stats(self, parent_state: np.ndarray, flipped: list[int]) -> tuple[float, np.ndarray]:
+        """``(g1, state)`` of a child of a selection that :meth:`constraint`
+        finds feasible.
 
         The child is ``parent_state`` (see
         :func:`~ccsubmod.graphs.update_coverage`) with the nodes ``flipped``
-        flipped. A feasible child's state is updated from a copy of it and
-        returned read-only; an infeasible child gets the sentinel g1 and no
-        state. The caller keeps the child's g2 from :meth:`constraint`.
+        flipped. Its state is updated from a copy of it and returned
+        read-only. The caller keeps the child's g2 from :meth:`constraint`.
         """
         self.evaluations += 1
-        if not feasible:
-            return INFEASIBLE_G1, None
         state = parent_state.copy()
         update_coverage(self.graph, state, flipped)
         state.setflags(write=False)

@@ -49,6 +49,15 @@ class SurrogateKind(enum.Enum):
             raise ValueError(f"unknown surrogate kind {name!r}") from None
 
 
+def tail_coefficient(model: WeightModel, alpha: float, kind: SurrogateKind) -> float:
+    """c such that the surrogate weight equals E(x) + c * sqrt(|x|)."""
+    d = model.dispersion
+    if kind is SurrogateKind.CHEBYSHEV:
+        return math.sqrt((1.0 - alpha) * d * d / (3.0 * alpha))
+    # ln(1/alpha) computed as -ln(alpha)
+    return math.sqrt(3.0 * d * -math.log(alpha))
+
+
 @dataclass(frozen=True)
 class WeightModel:
     """Per-element integer expected weights plus a shared dispersion d.
@@ -118,7 +127,8 @@ class Instance:
 
     Feasibility of a selection is certified by comparing its surrogate weight
     (see :mod:`ccsubmod.chance`) against the budget ``B`` at violation
-    probability ``alpha``.
+    probability ``alpha``. The budget is positive and finite, and so is the
+    surrogate's tail coefficient: the empty selection, of weight 0, fits.
     """
 
     graph: Graph
@@ -131,10 +141,12 @@ class Instance:
     def __post_init__(self) -> None:
         if self.weights.n != self.graph.n:
             raise ValueError("weight model size does not match graph size")
-        if not self.budget > 0:
-            raise ValueError("budget B must be positive")
+        if not 0 < self.budget < math.inf:
+            raise ValueError(f"budget B must be positive and finite, got {self.budget}")
         if not (0.0 < self.alpha < 1.0):
             raise ValueError("alpha must lie in (0, 1)")
+        if not math.isfinite(tail_coefficient(self.weights, self.alpha, self.surrogate)):
+            raise ValueError(f"alpha={self.alpha} is too small: the {self.surrogate.value} surrogate weight overflows")
 
 
 def build_weights(graph: Graph, kind: str, a: int = 1, d: float = 0.5) -> WeightModel:

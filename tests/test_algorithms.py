@@ -58,9 +58,11 @@ class BoundWatch:
     """Checks every child an archive run spawns against its exact objectives.
 
     A child's coverage bound ``parent.g1 + gain`` must be at least its exact
-    coverage. A child the loop rejects at that bound must be one that
-    ``ParetoArchive.insert`` rejects at its exact objectives, and a child the
-    loop scores must enter the archive with those objectives. ``spawned``,
+    coverage. A child the loop finds infeasible must be infeasible when
+    scored exactly; the loop neither scores it nor offers it. A child the
+    loop rejects at its bound must be one that ``ParetoArchive.insert``
+    rejects at its exact objectives, and a child the loop scores must enter
+    the archive with those objectives. ``spawned``, ``infeasible``,
     ``scored`` and ``rejected`` count the children that went each way.
     """
 
@@ -69,9 +71,10 @@ class BoundWatch:
 
         self.adjacency = adjacency_lists(inst.graph)
         self.reference = Evaluator(inst, regime)
-        self.spawned = self.scored = self.rejected = 0
+        self.spawned = self.infeasible = self.scored = self.rejected = 0
         self.pending = self.scored_bits = None
         spawn, rejects = algorithms._spawn_child, ParetoArchive.rejects
+        constraint = Evaluator.constraint
         score, insert = Evaluator.evaluate_from_stats, ParetoArchive.insert
 
         def spawn_checked(parent, pos, n, expected_arr, row_sizes):
@@ -84,16 +87,26 @@ class BoundWatch:
             self.pending = (bits, out, bound)
             return out
 
-        def score_checked(evaluator, feasible, parent_state, flipped):
+        def constraint_checked(evaluator, size, expected):
+            out = constraint(evaluator, size, expected)
+            if self.pending is not None and evaluator is not self.reference and not out[1]:
+                exact = self.reference.evaluate_bits(self.pending[0])
+                assert exact == (-1.0, out[0])
+                self.pending = None
+                self.infeasible += 1
+            return out
+
+        def score_checked(evaluator, parent_state, flipped):
             # The run's root, the empty selection, is scored before any spawn.
             if self.pending is not None:
                 assert self.scored_bits is None  # the last child scored was inserted
                 self.scored_bits, _, _ = self.pending
                 self.pending = None
                 self.scored += 1
-            return score(evaluator, feasible, parent_state, flipped)
+            return score(evaluator, parent_state, flipped)
 
         def insert_checked(archive, child):
+            assert child.g1 >= 0 and child.state is not None
             if self.scored_bits is not None:
                 # The child just scored enters with its exact objectives.
                 assert (child.g1, child.g2) == tuple(self.reference.evaluate_bits(self.scored_bits))
@@ -115,6 +128,7 @@ class BoundWatch:
             return out
 
         mp.setattr(algorithms, "_spawn_child", spawn_checked)
+        mp.setattr(Evaluator, "constraint", constraint_checked)
         mp.setattr(Evaluator, "evaluate_from_stats", score_checked)
         mp.setattr(ParetoArchive, "insert", insert_checked)
         mp.setattr(ParetoArchive, "rejects", rejects_checked)
@@ -163,16 +177,6 @@ class TestSlidingSelection:
         chosen, in_window, occ = _sliding_select(archive, 50, 100, 10.0, _index_draw(make_rng(0)))
         assert chosen.g1 == 6.0
         assert not in_window and occ == 0
-
-    def test_past_budget_selects_uniformly(self):
-        archive = self.build_archive([(0, 0), (3, 1.9), (5, 2.9)])
-        draw = _index_draw(make_rng(1))
-        seen = set()
-        for _ in range(100):
-            chosen, in_window, occ = _sliding_select(archive, 101, 100, 10.0, draw)
-            assert not in_window and occ == 0
-            seen.add(chosen.g2)
-        assert len(seen) == 3
 
     def test_window_membership_for_uniform_choice(self):
         # c = 4.5 -> window [4, 5] holds the members at g2 = 4.6 and 5.0
@@ -359,10 +363,11 @@ class TestWindowReleasesStates:
             mp.setattr(algorithms, "_mutation_positions", mutation_positions)
             watch = BoundWatch(mp, inst, regime)
             result = run(inst, RunConfig(algorithm="sw-gsemo", t_max=t_max, seed=seed, regime=regime))
-        # Every child but the zero-flip ones and those rejected at their
-        # coverage bound is inserted, and so is the empty selection.
-        assert len(inserts) + watch.rejected + sum(zero_flips) == t_max + 1
-        assert watch.spawned == watch.scored + watch.rejected
+        # Every child but the zero-flip ones, the infeasible ones and those
+        # rejected at their coverage bound is inserted, and so is the empty
+        # selection.
+        assert len(inserts) + watch.infeasible + watch.rejected + sum(zero_flips) == t_max + 1
+        assert watch.spawned == watch.scored + watch.rejected + watch.infeasible
         assert result.archive_size == len(result.final_objectives)
 
     @pytest.mark.parametrize("regime, best_g1, archive_size", [
@@ -410,7 +415,7 @@ class TestCoverageBound:
         with pytest.MonkeyPatch.context() as mp:
             watch = BoundWatch(mp, inst, regime)
             result = run(inst, RunConfig(algorithm=algorithm, t_max=t_max, seed=seed, regime=regime))
-        assert watch.spawned == watch.scored + watch.rejected
+        assert watch.spawned == watch.scored + watch.rejected + watch.infeasible
         assert result.evaluations == t_max + 1
 
     # Degree weights give each node the mean |N[v]|, so in the expected-g2
@@ -431,9 +436,10 @@ class TestCoverageBound:
                 cfg = RunConfig(algorithm=algorithm, t_max=4000, seed=7, regime=regime, trace=trace)
                 results.append(run(inst, cfg))
         untraced, traced = watches
-        assert untraced.rejected > 0 and untraced.spawned == untraced.scored + untraced.rejected
-        assert (traced.spawned, traced.scored, traced.rejected) == (
-            untraced.spawned, untraced.scored, untraced.rejected)
+        assert untraced.rejected > 0 and untraced.infeasible > 0
+        assert untraced.spawned == untraced.scored + untraced.rejected + untraced.infeasible
+        assert (traced.spawned, traced.scored, traced.rejected, traced.infeasible) == (
+            untraced.spawned, untraced.scored, untraced.rejected, untraced.infeasible)
         a, b = (replace(r, trace=None, wall_time_s=0.0) for r in results)
         assert a == b and a.evaluations == 4001
         tr = results[1].trace
@@ -442,6 +448,10 @@ class TestCoverageBound:
         bounded = ~np.isnan(tr.parent_g2) & np.isnan(tr.g1)
         assert bounded.sum() == untraced.rejected
         assert not tr.accepted[bounded].any()
+        # An infeasible child is not scored either; it has g1 -1.
+        infeasible = tr.g1 == -1
+        assert infeasible.sum() == untraced.infeasible
+        assert not tr.accepted[infeasible].any()
 
 
 class TestNsga2:
@@ -578,13 +588,17 @@ class TestArchiveLoopReference:
     """GSEMO and SW-GSEMO runs equal a reference that scores every child
     and draws in the declared order (``oracles.reference_archive_loop``)."""
 
+    # The last input admits at most k* = 3 nodes (iid weights, Chernoff at
+    # alpha = 0.001, B = 9), so about a third of the children are infeasible.
     @pytest.mark.parametrize("algorithm", ["gsemo", "sw-gsemo"])
-    @pytest.mark.parametrize("weights,regime,budget", [
-        ("iid", G2Regime.SURROGATE, 9.0), ("degree", G2Regime.EXPECTED, 24.0),
-    ])
+    @pytest.mark.parametrize("weights,regime,budget,surrogate,alpha", [
+        ("iid", G2Regime.SURROGATE, 9.0, SurrogateKind.CHEBYSHEV, 0.1),
+        ("degree", G2Regime.EXPECTED, 24.0, SurrogateKind.CHEBYSHEV, 0.1),
+        ("iid", G2Regime.SURROGATE, 9.0, SurrogateKind.CHERNOFF, 0.001),
+    ], ids=["iid-G2Regime.SURROGATE-9.0", "degree-G2Regime.EXPECTED-24.0", "iid-G2Regime.SURROGATE-9.0-chernoff"])
     @pytest.mark.parametrize("t_max", [700, 4_500])
-    def test_run_matches_reference(self, algorithm, weights, regime, budget, t_max):
-        inst = small_instance(seed=5, n=30, budget=budget, weights=weights)
+    def test_run_matches_reference(self, algorithm, weights, regime, budget, surrogate, alpha, t_max):
+        inst = small_instance(seed=5, n=30, budget=budget, alpha=alpha, surrogate=surrogate, weights=weights)
         cfg = RunConfig(algorithm=algorithm, t_max=t_max, seed=(8, t_max), regime=regime, trace=True)
         result = run(inst, cfg)
         reference = reference_archive_loop(inst, cfg)
@@ -601,6 +615,10 @@ class TestArchiveLoopReference:
         assert bounded.any() or weights == "degree"
         assert np.all(want["g1"][bounded] >= 0) and not want["accepted"][bounded].any()
         assert np.array_equal(got.g1[~bounded], want["g1"][~bounded], equal_nan=True)
+        # A g1 of -1 is an infeasible child, which is not scored either.
+        infeasible = got.g1 == -1
+        assert np.array_equal(infeasible, want["g1"] == -1)
+        assert infeasible.any() and not want["accepted"][infeasible].any()
 
 
 class TestNsga2Reference:
@@ -693,27 +711,25 @@ class TestCoverageMasks:
         parents_without_mask, scored = [], []
         score, insert = Evaluator.evaluate_from_stats, ParetoArchive.insert
 
-        def score_checked(evaluator, feasible, parent_state, flipped):
+        def score_checked(evaluator, parent_state, flipped):
             parents_without_mask.append(parent_state is None)
             bits = selection_of(parent_state)
             bits[flipped] ^= 1
             scored.append(bits)
-            return score(evaluator, feasible, parent_state, flipped)
+            return score(evaluator, parent_state, flipped)
 
         def insert_checked(archive, child):
-            # Every selection scored, the root's included, is inserted next.
+            # Every selection scored, the root's included, is feasible and
+            # is inserted next.
             bits = scored.pop()
             nodes = np.flatnonzero(bits)
             assert child.size == len(nodes) and child.expected == means[nodes].sum()
-            if child.g1 >= 0:
-                want, count = full_state(inst.graph, bits)
-                assert np.array_equal(child.state, want)
-                assert set(np.unique(child.state).tolist()) <= {0, 1}
-                covered = child.state[: inst.graph.n]
-                assert child.g1 == count == np.count_nonzero(covered) == naive_coverage(adjacency, bits)
-                assert not child.state.flags.writeable
-            else:
-                assert child.state is None
+            want, count = full_state(inst.graph, bits)
+            assert np.array_equal(child.state, want)
+            assert set(np.unique(child.state).tolist()) <= {0, 1}
+            covered = child.state[: inst.graph.n]
+            assert child.g1 == count == np.count_nonzero(covered) == naive_coverage(adjacency, bits)
+            assert not child.state.flags.writeable
             return insert(archive, child)
 
         monkeypatch.setattr(Evaluator, "evaluate_from_stats", score_checked)

@@ -201,7 +201,7 @@ class TestEvaluate:
         parent = bitvec(5, [0, 3])
         # The parent is scored as the empty selection with its nodes flipped.
         empty = np.zeros(2 * 5, dtype=np.uint8)
-        _, parent_state = ev.evaluate_from_stats(ev.constraint(2, 2.0)[1], empty, np.array([0, 3]))
+        _, parent_state = ev.evaluate_from_stats(empty, np.array([0, 3]))
         assert np.array_equal(parent_state, full_state(roomy.graph, parent)[0])
         for flipped in ([2], [0, 2], [0], [0, 3], [1, 3, 4]):
             child = parent.copy()
@@ -209,18 +209,14 @@ class TestEvaluate:
             size, expected = int(child.sum()), float(child.sum())
             full = ev.evaluate_bits(child)
             g2, feasible = ev.constraint(size, expected)
-            g1, state = ev.evaluate_from_stats(feasible, parent_state, np.array(flipped))
+            assert feasible
+            g1, state = ev.evaluate_from_stats(parent_state, np.array(flipped))
             assert g1 == full.g1 == naive_coverage(adjacency, child)
             assert g2 == full.g2
             assert np.array_equal(state, full_state(roomy.graph, child)[0])
             assert not state.flags.writeable
             assert not parent_state.flags.writeable
 
-    def test_infeasible_has_no_mask(self, toy_instance):
-        ev = Evaluator(toy_instance)
-        feasible = ev.constraint(5, 5.0)[1]
-        assert ev.evaluate_from_stats(feasible, np.zeros(2 * 5, dtype=np.uint8), np.arange(5)) == (-1.0, None)
-        assert ev.evaluations == 1
 
 
 class TestDominates:

@@ -1,4 +1,5 @@
 import json
+import math
 import resource
 import subprocess
 import sys
@@ -138,6 +139,22 @@ class TestRun:
         assert code == 2
         assert out == ""
         assert "'bogus-name'" in err
+
+    # A later flag overrides the one in RUN_FLAGS. An infinite budget, or a
+    # Chebyshev tail coefficient that overflows, would otherwise make every
+    # selection feasible or none.
+    @pytest.mark.parametrize("algo", ["gsemo", "sw-gsemo", "nsga2"])
+    @pytest.mark.parametrize("flags, message", [
+        (["--B", "inf"], "budget B must be positive and finite, got inf"),
+        (["--B", "1e309"], "budget B must be positive and finite, got inf"),
+        (["--alpha", "1e-320", "--surrogate", "chebyshev"],
+         "alpha=1e-320 is too small: the chebyshev surrogate weight overflows"),
+    ], ids=["B-inf", "B-1e309", "alpha-1e-320"])
+    def test_unusable_budget_or_alpha_is_config_error(self, graph_file, algo, flags, message):
+        code, out, err = cli("run", "--graph", str(graph_file), *RUN_FLAGS, "--algo", algo, *flags)
+        assert code == 2
+        assert out == ""
+        assert message in err
 
     def test_unknown_algorithm_fails_before_the_graph_is_read(self, tmp_path):
         code, out, err = cli("run", "--graph", str(tmp_path / "none.txt"), *RUN_FLAGS, "--algo", "bogus-name")
@@ -293,6 +310,9 @@ class TestExperiment:
         "edit, message",
         [
             ({"budgets": [0]}, "instances[0] (synth40): budget B must be positive"),
+            ({"budgets": [math.inf]}, "instances[0] (synth40): budget B must be positive and finite, got inf"),
+            ({"alphas": [1e-320]},
+             "instances[0] (synth40): alpha=1e-320 is too small: the chebyshev surrogate weight overflows"),
             ({"alphas": [1.5]}, "instances[0] (synth40): alpha must lie in (0, 1)"),
             ({"alphas": ["x"]}, "alphas[0] in instances[0] must be of type float, got 'x'"),
             ({"t_max": [1.5]}, "t_max[0] in the config must be of type int, got 1.5"),
@@ -310,8 +330,8 @@ class TestExperiment:
             ({"name": "../x"}, "instances[0] (../x): name '../x' holds '/'"),
             ({"algorithm": "gsemo", "label": "a/b"}, "algorithms[2]: label 'a/b' holds '/'"),
         ],
-        ids=["budgets-0", "alphas-1.5", "alphas-string", "t_max-float", "t_max-bool", "t_max-negative",
-             "base_seed-negative", "weights", "d", "surrogates", "algorithm", "regime",
+        ids=["budgets-0", "budgets-inf", "alphas-1e-320", "alphas-1.5", "alphas-string", "t_max-float",
+             "t_max-bool", "t_max-negative", "base_seed-negative", "weights", "d", "surrogates", "algorithm", "regime",
              "alphas-empty", "surrogates-empty", "budgets-empty", "name-path", "label-path"],
     )
     def test_config_fault_is_config_error(self, graph_file, tmp_path, edit, message):

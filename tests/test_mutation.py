@@ -67,8 +67,8 @@ class TestStandardBitMutation:
                 snapshot = parent.state.copy()
                 permuted += len(pos) * (len(pos) - 1) >= n
                 size, expected, _ = _spawn_child(parent, pos, n, means, graph.degrees + 1)
-                g2, feasible = evaluator.constraint(size, expected)
-                g1, state = evaluator.evaluate_from_stats(feasible, parent.state, pos)
+                g2, _ = evaluator.constraint(size, expected)
+                g1, state = evaluator.evaluate_from_stats(parent.state, pos)
                 child = Individual(state=state, size=size, expected=expected, g1=g1, g2=g2)
                 selection = selection_of(child.state)
                 assert np.array_equal(np.flatnonzero(selection != selection_of(snapshot)), np.sort(pos))
@@ -216,8 +216,7 @@ class TestRandomStream:
                 assert rng.bit_generator.state == reference.bit_generator.state
 
     def test_sliding_select_picks_as_integers(self):
-        # Several members per unit of g2, so windows hold 0 to 4 members;
-        # past t_max selection is uniform over the whole archive.
+        # Several members per unit of g2, so windows hold 0 to 4 members.
         archive = ParetoArchive()
         for i in range(60):
             archive.insert(Individual(state=None, size=0, expected=0.0, g1=float(i), g2=0.3 * i))
@@ -226,18 +225,16 @@ class TestRandomStream:
         rng, reference = make_rng(9), make_rng(9)
         draw = _index_draw(rng)
         occupancies = set()
-        for t in [*range(0, t_max + 40), *range(t_max, 0, -7)]:
+        for t in [*range(1, t_max + 1), *range(t_max, 0, -7)]:
             chosen, in_window, occ = _sliding_select(archive, t, t_max, budget, draw)
             c_hat = t / t_max * budget
             i0, i1 = archive.index_range(math.floor(c_hat), math.ceil(c_hat))
-            if t > t_max:
-                expected = members[reference.integers(len(members))]
-            elif i1 > i0:
+            if i1 > i0:
                 expected = members[i0 + reference.integers(i1 - i0)]
             else:
                 expected = members[i0 - 1]
             assert chosen is expected
-            assert (in_window, occ) == (t <= t_max and i1 > i0, i1 - i0 if t <= t_max else 0)
+            assert (in_window, occ) == (i1 > i0, i1 - i0)
             assert rng.bit_generator.state == reference.bit_generator.state
             occupancies.add(occ)
         assert occupancies >= {0, 1, 3, 4}

@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 
@@ -83,6 +85,22 @@ class TestInstance:
         with pytest.raises(ValueError):
             Instance(graph=path3, weights=make_iid_weights(4, 1, 0.5), budget=2.0, alpha=0.1,
                      surrogate=SurrogateKind.CHEBYSHEV)
+
+    @pytest.mark.parametrize("budget", [math.inf, 1e309, math.nan, -math.inf], ids=["inf", "1e309", "nan", "-inf"])
+    def test_budget_must_be_finite(self, path3, budget):
+        w = make_iid_weights(3, 1, 0.5)
+        with pytest.raises(ValueError, match="budget B must be positive and finite"):
+            Instance(graph=path3, weights=w, budget=budget, alpha=0.1, surrogate=SurrogateKind.CHERNOFF)
+
+    def test_tail_coefficient_must_be_finite(self, path3):
+        # At d = 0.5 the Chebyshev coefficient sqrt((1 - alpha) d^2 / (3 alpha))
+        # is about 9.1e153 at alpha = 1e-309 and overflows to inf below about
+        # 1e-310; the Chernoff one, sqrt(3 d ln(1/alpha)), stays small.
+        w = make_iid_weights(3, 1, 0.5)
+        Instance(graph=path3, weights=w, budget=2.0, alpha=1e-309, surrogate=SurrogateKind.CHEBYSHEV)
+        Instance(graph=path3, weights=w, budget=2.0, alpha=1e-320, surrogate=SurrogateKind.CHERNOFF)
+        with pytest.raises(ValueError, match="chebyshev surrogate weight overflows"):
+            Instance(graph=path3, weights=w, budget=2.0, alpha=1e-320, surrogate=SurrogateKind.CHEBYSHEV)
 
 
 class TestSampling:
