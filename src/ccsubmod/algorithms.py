@@ -32,7 +32,8 @@ iterations, NSGA-II in blocks of ``max(1, _BLOCK // lambda)`` generations,
 together with the block's tournament picks and crossover switches. About
 (1 - 1/n)^n of the archive loop's iterations, 37%, flip no bit. Such an
 offspring is its parent, so the iteration counts one evaluation and draws
-no parent.
+no parent. After a block's flips, the archive loop draws one uniform for
+each of the block's other iterations, which picks that iteration's parent.
 
 Coverage is monotone and submodular, so a GSEMO or SW-GSEMO child that adds
 the nodes A to its parent covers at most ``parent.g1 + sum(|N[v]| for v in
@@ -49,7 +50,6 @@ from __future__ import annotations
 import math
 import time
 from bisect import bisect_left, bisect_right
-from collections.abc import Callable
 from dataclasses import dataclass
 
 import numpy as np
@@ -80,57 +80,16 @@ def make_rng(*entropy: int) -> Generator:
     ``make_rng(s, c, r)``, which is the reproducibility contract for every
     published result file. A run draws from it in a fixed order: the
     archive loop draws each block's flips (see :func:`_mutation_positions`)
-    and then one parent index per iteration that flips a bit. NSGA-II
+    and then one uniform per iteration of the block that flips a bit, which
+    picks its parent (see :func:`_run_archive_loop`). NSGA-II
     draws, for each block of generations, all tournament picks, then all
     crossover switches, then all flips; each generation then takes its
     crossover coins from a buffer of uniforms that it refills when they
     run short (see :func:`_run_nsga2`). Results made with earlier draw
-    orders (per-iteration archive draws, or NSGA-II draws one generation
-    at a time) are not reproduced.
+    orders (per-iteration archive draws, parent indices drawn one at a
+    time, or NSGA-II draws one generation at a time) are not reproduced.
     """
     return Generator(PCG64(SeedSequence(list(entropy))))
-
-
-def _index_draw(rng: np.random.Generator) -> Callable[[int], int]:
-    """``draw(bound)``: the value ``rng.integers(bound)`` returns, leaving
-    ``rng`` in the state that call leaves.
-
-    GSEMO and SW-GSEMO draw their parents with it, one scalar draw per
-    iteration that flips a bit. A scalar ``rng.integers`` call spends most
-    of its time on argument handling. For a bound below 2**32 its value is
-    Lemire's multiply-and-reject method (ACM TOMACS 2019) on 32-bit outputs
-    of the bit generator, so running that method on the bit generator's
-    ``next_uint32`` through ``bit_generator.ctypes`` gives the same values
-    from the same stream at about a third of the cost. The parent draws
-    thus depend on PCG64's ``next_uint32`` alone, not on how
-    ``Generator.integers`` is implemented; ``tests/test_mutation.py``
-    checks the two against each other, generator state included. A bound
-    of 1 returns 0 and draws nothing, as numpy does; a bound of 2**32 or
-    more raises ``ValueError``.
-    """
-    bit_generator = rng.bit_generator
-    interface = bit_generator.ctypes
-    next_uint32, state = interface.next_uint32, interface.state
-
-    def draw(bound: int) -> int:
-        if bound <= 1:
-            if bound == 1:
-                return 0
-            raise ValueError(f"bound must be positive, got {bound}")
-        if bound > 0xFFFFFFFF:
-            raise ValueError(f"bound must be below 2**32, got {bound}")
-        m = next_uint32(state) * bound
-        if m & 0xFFFFFFFF < bound:
-            # Reject the lowest 2**32 mod bound products, which would bias
-            # the high word.
-            threshold = (0x100000000 - bound) % bound
-            while m & 0xFFFFFFFF < threshold:
-                m = next_uint32(state) * bound
-        return m >> 32
-
-    # The ctypes pointers do not keep the generator alive; this does.
-    draw.bit_generator = bit_generator
-    return draw
 
 
 @dataclass(slots=True)
@@ -245,12 +204,6 @@ class ParetoArchive:
             members[i].state = None
             i -= 1
 
-    def uniform_member(self, draw: Callable[[int], int]) -> Individual:
-        """A member drawn uniformly by ``draw`` (see :func:`_index_draw`):
-        the one ``rng.integers(len(self))`` would pick, taken from PCG64's
-        ``next_uint32`` without going through ``Generator.integers``."""
-        return self.members[draw(len(self.members))]
-
     def index_range(self, lo: float, hi: float) -> tuple[int, int]:
         """Indices ``[start, stop)`` of the members with lo <= g2 <= hi."""
         return bisect_left(self._g2, lo), bisect_right(self._g2, hi)
@@ -332,13 +285,13 @@ def _sliding_select(
     t: int,
     t_max: int,
     budget: float,
-    draw: Callable[[int], int],
+    u: float,
 ) -> tuple[Individual, bool, int]:
     """Pick a parent from the sliding weight window of iteration t.
 
     Candidates are the members whose g2 lies in the window
-    ``[floor(c), ceil(c)]``, ``c = (t / t_max) * budget``; ``draw`` (see
-    :func:`_index_draw`) chooses one uniformly at random.
+    ``[floor(c), ceil(c)]``, ``c = (t / t_max) * budget``; the uniform
+    ``u`` in [0, 1) picks one of them (see :func:`_run_archive_loop`).
     Returns (parent, in_window, window occupancy). When the window is empty
     the best-coverage member below it is used instead (``in_window`` False):
     the empty selection lies in or below every window (see
@@ -357,14 +310,12 @@ def _sliding_select(
     occ = i1 - i0
     members = archive.members
     if occ > 0:
-        # The window mostly holds one member; a bound-1 draw would draw
-        # nothing anyway, so skip the call.
-        return members[i0 if occ == 1 else i0 + draw(occ)], True, occ
-    # Empty window: take the best-coverage member among those below it. The
-    # staircase ordering makes that the last member with g2 <= floor(c);
-    # g1 ties cannot occur between archive members. No member has
-    # g2 == floor(c), since it would lie in the window, so that member
-    # sits just before the window's start.
+        return members[i0 + int(u * occ)], True, occ
+    # Empty window, whatever u is: take the best-coverage member among
+    # those below it. The staircase ordering makes that the last member
+    # with g2 <= floor(c); g1 ties cannot occur between archive members.
+    # No member has g2 == floor(c), since it would lie in the window, so
+    # that member sits just before the window's start.
     return members[i0 - 1], False, 0
 
 
@@ -475,11 +426,15 @@ def _config_echo(instance: Instance, cfg: RunConfig) -> dict:
 def _run_archive_loop(instance: Instance, cfg: RunConfig, evaluator: Evaluator, rng: np.random.Generator) -> tuple:
     """GSEMO, with sliding-window parent selection for ``sw-gsemo``.
 
-    The flips of up to ``_BLOCK`` iterations are drawn at once, then each
-    iteration that flips a bit draws its parent with ``rng``'s index draw
-    (see :func:`_index_draw`). ``_sliding_select`` sees the iteration's own
-    t, 1 <= t <= t_max: its window only moves up, so an iteration without
-    flips that leaves it unraised changes nothing.
+    The flips of up to ``_BLOCK`` iterations are drawn at once, then one
+    uniform u per iteration that flips a bit, in iteration order. The
+    iteration's parent is member ``int(u * m)`` of the m it picks from:
+    the whole archive, or the window of :func:`_sliding_select`. A uniform
+    is a multiple of 2**-53 below 1, so for m < 2**32 the pick never
+    reaches m and each member's chance is 1/m within a relative 2**-21.
+    ``_sliding_select`` sees the iteration's own t, 1 <= t <= t_max: its
+    window only moves up, so an iteration without flips that leaves it
+    unraised changes nothing.
     """
     sliding = cfg.algorithm == "sw-gsemo"
     n = instance.graph.n
@@ -497,7 +452,7 @@ def _run_archive_loop(instance: Instance, cfg: RunConfig, evaluator: Evaluator, 
     # A row the loop leaves as filled is an iteration that flipped no bit.
     trace = np.full(t_max, _NO_PARENT).view(np.recarray) if cfg.trace else None
     row_sizes = instance.graph.degrees + 1
-    draw = _index_draw(rng)
+    members = archive.members
 
     for start in range(0, t_max, _BLOCK):
         block = min(_BLOCK, t_max - start)
@@ -507,16 +462,17 @@ def _run_archive_loop(instance: Instance, cfg: RunConfig, evaluator: Evaluator, 
         # and changes nothing, so it draws no parent.
         steps = np.flatnonzero(counts).tolist()
         evaluator.evaluations += block - len(steps)
+        picks = rng.random(len(steps)).tolist()
         end = 0
-        for i in steps:
+        for i, u in zip(steps, picks):
             t = start + i + 1
             k = flips[i]
             pos = positions[end:end + k]
             end += k
             if sliding:
-                parent, in_window, occ = _sliding_select(archive, t, t_max, budget, draw)
+                parent, in_window, occ = _sliding_select(archive, t, t_max, budget, u)
             else:
-                parent, in_window, occ = archive.uniform_member(draw), False, 0
+                parent, in_window, occ = members[int(u * len(members))], False, 0
             size, expected, gain = _spawn_child(parent, pos, n, expected_arr, row_sizes)
             g2, feasible = evaluator.constraint(size, expected)
             if not feasible or archive.rejects(parent.g1 + gain, g2):

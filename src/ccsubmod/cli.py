@@ -62,7 +62,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("experiment", help="run an experiment grid from a JSON config; progress on stderr")
     p.add_argument("--config", required=True)
-    p.add_argument("--workers", type=int, default=None, help="defaults to CCSUBMOD_WORKERS or CPU count")
+    p.add_argument("--workers", type=int, default=None, help="worker processes, at least 1; defaults to the CPU count")
     p.add_argument("--out", default=None, help="override the config's output_dir")
     p.add_argument("--resume", action="store_true", help="reuse stored run files made by the same run configuration")
     p.set_defaults(handler=_cmd_experiment)

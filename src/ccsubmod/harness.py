@@ -289,15 +289,7 @@ def expand_cells(cfg: ExperimentConfig) -> tuple[list[Cell], list[dict]]:
                     continue
             graph = graphs[spec.graph]
             weights = build_weights(graph, spec.weights, a=spec.a, d=spec.d)
-            if spec.budgets != "grid":
-                budgets = spec.budgets
-            elif graph.n < 20:
-                raise ValueError(
-                    f'"budgets": "grid" needs n >= 20 for a positive n // 20 budget, '
-                    f"but the graph has n = {graph.n}; list the budgets instead"
-                )
-            else:
-                budgets = default_budgets(graph.n)
+            budgets = default_budgets(graph.n) if spec.budgets == "grid" else spec.budgets
             surrogates = [SurrogateKind.parse(s) for s in spec.surrogates]
             for surrogate, budget, (t_max, row), alpha in product(
                 surrogates, budgets, zip(cfg.t_max, templates), spec.alphas
@@ -329,17 +321,17 @@ def run_experiment(
 ) -> ResultSet:
     """Execute every (cell, repetition) of the grid and aggregate results.
 
-    A config fault (see :func:`expand_cells`) or a ``CCSUBMOD_WORKERS``
-    that is not an integer raises ValueError before the output directory
-    is created. With ``resume`` set, a stored run file is reused when it
-    parses, its config echo equals that of the run it stands for (seed,
-    regime, ``a``, ``d``, ``n``, population and children included) and its
-    result fields are finite numbers; any other stored file is recomputed
-    and overwritten, with a line on stderr. A graph that fails to load, a
-    run that raises and a dead worker are recorded in ``errors`` and never
-    abort the rest of the grid. Each run not taken from a stored file writes
-    one progress line ``[i/N]`` to stderr, ending in ``failed`` when the run
-    records an error.
+    A config fault (see :func:`expand_cells`) or a worker count below 1
+    raises ValueError before the output directory is created; ``workers``
+    defaults to the CPU count. With ``resume`` set, a stored run file is
+    reused when it parses, its config echo equals that of the run it stands
+    for (seed, regime, ``a``, ``d``, ``n``, population and children
+    included) and its result fields are finite numbers; any other stored
+    file is recomputed and overwritten, with a line on stderr. A graph that
+    fails to load, a run that raises and a dead worker are recorded in
+    ``errors`` and never abort the rest of the grid. Each run not taken from
+    a stored file writes one progress line ``[i/N]`` to stderr, ending in
+    ``failed`` when the run records an error.
     """
     cells, errors = expand_cells(cfg)
     workers = _worker_count(workers)
@@ -456,14 +448,12 @@ def _write_json(path: Path, doc: dict) -> None:
 # ---------------------------------------------------------------------------
 
 def _worker_count(workers: int | None) -> int:
-    """``workers``, else ``CCSUBMOD_WORKERS``, else the CPU count; at least 1."""
+    """``workers``, else the CPU count; a count below 1 raises ValueError."""
     if workers is None:
-        env = os.environ.get("CCSUBMOD_WORKERS")
-        try:
-            workers = int(env or os.cpu_count() or 1)
-        except ValueError:
-            raise ValueError(f"CCSUBMOD_WORKERS must be an integer, got {env!r}") from None
-    return max(1, workers)
+        return os.cpu_count() or 1
+    if workers < 1:
+        raise ValueError(f"the worker count must be at least 1, got {workers}")
+    return workers
 
 
 def _error_text(exc: Exception) -> str:

@@ -115,9 +115,14 @@ def default_budgets(n: int) -> list[int]:
 
     ``[floor(sqrt(n)), n // 20, n // 10]``; the square root is truncated,
     which is what reproduces the published budget grids (e.g. 1882 -> 43).
+    Below n = 20 the budget n // 20 is 0, which no instance accepts, so
+    such an n raises ValueError.
     """
-    if n < 1:
-        raise ValueError("n must be positive")
+    if n < 20:
+        raise ValueError(
+            f'"budgets": "grid" needs n >= 20 for a positive n // 20 budget, '
+            f"but the graph has n = {n}; list the budgets instead"
+        )
     return [math.isqrt(n), n // 20, n // 10]
 
 

@@ -311,17 +311,19 @@ def reference_archive_loop(instance, cfg) -> dict:
 
     At the start of each block of ``_BLOCK`` iterations (the last one holds
     the iterations left) it draws the flips of every offspring of the block
-    (:func:`block_mutation_positions`). An iteration that flips no bit
-    draws nothing and writes the no-parent row. Any other draws its parent
-    with one ``rng.integers(bound)`` over a pool: the whole archive for
-    ``gsemo``; for ``sw-gsemo`` the members with g2 in ``[floor(c),
-    ceil(c)]``, ``c = (t / t_max) * B``, or, when that window is empty, the
-    best-coverage member below it alone. The child is scored (see
-    :func:`_reference_score`) and offered to a staircase archive kept as a
-    list: it is rejected when a member strictly dominates it, and otherwise
-    replaces the members it weakly dominates. Its trace row holds its exact
-    g1, so on the rows where the library's g1 is NaN (a child rejected at
-    its coverage bound) this reference's ``accepted`` must be False.
+    (:func:`block_mutation_positions`), then one ``rng.random`` uniform per
+    offspring of the block that flips a bit. An iteration that flips no
+    bit takes no uniform and writes the no-parent row. Any other takes the
+    next uniform u and picks its parent ``pool[int(u * len(pool))]`` from
+    a pool: the whole archive for ``gsemo``; for ``sw-gsemo`` the members
+    with g2 in ``[floor(c), ceil(c)]``, ``c = (t / t_max) * B``, or, when
+    that window is empty, the best-coverage member below it alone. The
+    child is scored (see :func:`_reference_score`) and offered to a
+    staircase archive kept as a list: it is rejected when a member strictly
+    dominates it, and otherwise replaces the members it weakly dominates.
+    Its trace row holds its exact g1, so on the rows where the library's g1
+    is NaN (a child rejected at its coverage bound) this reference's
+    ``accepted`` must be False.
     """
     from ccsubmod import make_rng
     from ccsubmod.algorithms import _BLOCK, TRACE_DTYPE
@@ -338,7 +340,9 @@ def reference_archive_loop(instance, cfg) -> dict:
     peak = 1
     rows = []
     for start in range(0, t_max, _BLOCK):
-        for i, flips in enumerate(block_mutation_positions(n, rng, min(_BLOCK, t_max - start))):
+        block = block_mutation_positions(n, rng, min(_BLOCK, t_max - start))
+        uniforms = iter(rng.random(sum(1 for flips in block if flips)).tolist())
+        for i, flips in enumerate(block):
             t = start + i + 1
             if not flips:
                 rows.append((math.nan, math.nan, math.nan, False, False, 0))
@@ -353,8 +357,7 @@ def reference_archive_loop(instance, cfg) -> dict:
                     pool = window
                 elif below:
                     pool = [max(below, key=lambda m: m[0])]
-            # rng.integers(1) returns 0 and draws nothing.
-            parent = pool[int(rng.integers(len(pool)))]
+            parent = pool[int(next(uniforms) * len(pool))]
             child = list(parent[2])
             for v in flips:
                 child[v] ^= 1

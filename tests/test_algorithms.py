@@ -19,7 +19,6 @@ from ccsubmod import (
 )
 from ccsubmod.algorithms import (
     Individual,
-    _index_draw,
     _sliding_select,
     _tournament,
     crowding_distance,
@@ -154,41 +153,40 @@ class TestSlidingSelection:
 
     def test_t_zero_selects_empty_set_individual(self):
         archive = self.build_archive([(0, 0), (3, 1.9), (5, 2.9)])
-        chosen, in_window, occ = _sliding_select(archive, 0, 100, 10.0, _index_draw(make_rng(0)))
+        chosen, in_window, occ = _sliding_select(archive, 0, 100, 10.0, 0.7)
         assert (chosen.g1, chosen.g2) == (0.0, 0.0)
         assert in_window and occ == 1
 
     def test_final_window_is_budget_for_integer_budget(self):
         archive = self.build_archive([(0, 0), (4, 20.0), (9, 43.0)])
-        chosen, in_window, occ = _sliding_select(archive, 100, 100, 43.0, _index_draw(make_rng(0)))
+        chosen, in_window, occ = _sliding_select(archive, 100, 100, 43.0, 0.99)
         assert chosen.g2 == 43.0
         assert in_window and occ == 1
 
     def test_empty_window_falls_back_to_best_below(self):
         # c = 5.4 -> window [5, 6] empty; candidates below are both members
         archive = self.build_archive([(0, 0), (7, 2.3)])
-        chosen, in_window, occ = _sliding_select(archive, 54, 100, 10.0, _index_draw(make_rng(0)))
+        chosen, in_window, occ = _sliding_select(archive, 54, 100, 10.0, 0.3)
         assert chosen.g1 == 7.0
         assert not in_window and occ == 0
 
     def test_fallback_prefers_largest_coverage(self):
         archive = self.build_archive([(0, 0), (2, 1.0), (6, 3.0), (9, 8.5)])
-        # c = 5.0 -> window [5, 5] empty; best below floor(c) has g1 = 6
-        chosen, in_window, occ = _sliding_select(archive, 50, 100, 10.0, _index_draw(make_rng(0)))
-        assert chosen.g1 == 6.0
-        assert not in_window and occ == 0
+        # c = 5.0 -> window [5, 5] empty; best below floor(c) has g1 = 6,
+        # whatever the uniform
+        for u in (0.0, 0.5, 0.99):
+            chosen, in_window, occ = _sliding_select(archive, 50, 100, 10.0, u)
+            assert chosen.g1 == 6.0
+            assert not in_window and occ == 0
 
     def test_window_membership_for_uniform_choice(self):
-        # c = 4.5 -> window [4, 5] holds the members at g2 = 4.6 and 5.0
+        # c = 4.5 -> window [4, 5] holds the members at g2 = 4.6 and 5.0;
+        # the uniform u picks member int(u * 2) of the two.
         archive = self.build_archive([(0, 0), (2, 4.6), (3, 5.0), (9, 9.0)])
-        draw = _index_draw(make_rng(2))
-        seen = set()
-        for _ in range(50):
-            chosen, in_window, occ = _sliding_select(archive, 45, 100, 10.0, draw)
+        for u, g2 in ((0.0, 4.6), (0.49, 4.6), (0.5, 5.0), (0.99, 5.0)):
+            chosen, in_window, occ = _sliding_select(archive, 45, 100, 10.0, u)
             assert in_window and occ == 2
-            assert 4 <= chosen.g2 <= 5
-            seen.add(chosen.g2)
-        assert seen == {4.6, 5.0}
+            assert chosen.g2 == g2
 
 
 class TestArchiveRuns:
@@ -283,12 +281,13 @@ class TestArchiveRuns:
     def test_exact_optimum_at_benchmark_scale(self):
         # 1882-node disjoint-star graph: the optimum under budget 43
         # (37 selectable nodes) is the 37 largest star neighborhoods, known
-        # in closed form. The window-based optimizer must hit it exactly on
-        # every seed at half a million evaluations, mirroring its
-        # zero-variance behavior on similarly sparse benchmark graphs.
-        # Uniform parent selection converges more slowly here (many
-        # near-tied stars); its exactness is asserted at desk scale. (Two
-        # runs of about 0.8 s each.)
+        # in closed form. The window-based optimizer must hit it exactly at
+        # a million evaluations. On the seeds (79, 0, r), r = 0..23, it hit
+        # it on all 24 at a million; at half a million it missed by one
+        # node on 1 to 4 of them, depending on the parent draws. Uniform
+        # parent selection converges more slowly here (many near-tied
+        # stars); its exactness is asserted at desk scale. (Two runs of
+        # about 1.6 s each.)
         from ccsubmod import Graph
 
         sizes = [3 + (i * 7) % 45 for i in range(60)]
@@ -302,7 +301,7 @@ class TestArchiveRuns:
                         budget=43.0, alpha=0.1, surrogate=SurrogateKind.CHEBYSHEV)
         optimum = float(sum(s + 1 for s in sorted(sizes, reverse=True)[:37]))
         # The seeds of repetitions 0 and 1 of grid cell 0 under base seed 79.
-        results = [run(inst, RunConfig(algorithm="sw-gsemo", t_max=500_000, seed=(79, 0, rep))) for rep in range(2)]
+        results = [run(inst, RunConfig(algorithm="sw-gsemo", t_max=1_000_000, seed=(79, 0, rep))) for rep in range(2)]
         assert [r.best_g1 for r in results] == [optimum, optimum]
         assert all(r.peak_archive_size <= 44 for r in results)
 
@@ -339,8 +338,8 @@ class TestWindowReleasesStates:
         floor = [-math.inf]
         inserts, zero_flips = [], []
 
-        def select(archive, t, t_max, budget, draw):
-            parent, in_window, occ = _sliding_select(archive, t, t_max, budget, draw)
+        def select(archive, t, t_max, budget, u):
+            parent, in_window, occ = _sliding_select(archive, t, t_max, budget, u)
             floor[0] = math.floor((t / t_max) * budget)
             self.check_released(archive, floor[0])
             assert parent.state is not None
@@ -371,8 +370,8 @@ class TestWindowReleasesStates:
         assert result.archive_size == len(result.final_objectives)
 
     @pytest.mark.parametrize("regime, best_g1, archive_size", [
-        (G2Regime.SURROGATE, 14499.0, 1992),
-        (G2Regime.EXPECTED, 14366.0, 1920),
+        (G2Regime.SURROGATE, 14451.0, 1981),
+        (G2Regime.EXPECTED, 14319.0, 1918),
     ])
     def test_condmat_size_run_peak_stays_small(self, regime, best_g1, archive_size):
         # A CondMat-size sweep (n = 21363, B = n // 10) grows the archive to

@@ -211,6 +211,14 @@ class TestBudgets:
         code, _, _ = cli("budgets", "--graph", str(tmp_path / "no.txt"))
         assert code == 2
 
+    def test_small_graph_is_config_error(self, tmp_path):
+        # n // 20 is 0 on a 10-node graph, a budget run --B rejects.
+        path = tmp_path / "tiny10.txt"
+        save_edge_list(random_sparse_graph(10, 10, seed=10), path)
+        code, out, err = cli("budgets", "--graph", str(path))
+        assert code == 2 and out == ""
+        assert "n = 10" in err
+
 
 class TestInspect:
     def test_summary_fields(self, graph_file):
@@ -298,12 +306,13 @@ class TestExperiment:
         assert not [line for line in err.splitlines() if line.startswith("[")]
         assert not (tmp_path / "out5").exists()
 
-    def test_malformed_worker_count_is_config_error(self, graph_file, tmp_path, monkeypatch):
-        monkeypatch.setenv("CCSUBMOD_WORKERS", "abc")
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_worker_count_below_one_is_config_error(self, graph_file, tmp_path, workers):
         cfg = self.write_config(graph_file, tmp_path, "out13")
-        code, _, err = cli("experiment", "--config", str(cfg))
-        assert code == 2
-        assert "CCSUBMOD_WORKERS must be an integer, got 'abc'" in err
+        code, out, err = cli("experiment", "--config", str(cfg), "--workers", workers)
+        assert code == 2 and out == ""
+        assert f"the worker count must be at least 1, got {workers}" in err
+        assert not [line for line in err.splitlines() if line.startswith("[")]
         assert not (tmp_path / "out13").exists()
 
     @pytest.mark.parametrize(

@@ -401,8 +401,8 @@ class TestTrace:
     # here.
     PINNED_TRACES = {
         ("sw-gsemo", "iid"): "c01a22894d20d778b0bddbbf189190f23035d7629c44ff932786806a484e5c90",
-        ("gsemo", "degree"): "43201544d9147c4230a3c68a286f546e2c7e536869a3e5e17572306956c1368c",
-        ("sw-gsemo", "degree"): "faac4dda3f72269f620a0f86295ef9e61dda9f6f39ac8159608edc5904410e72",
+        ("gsemo", "degree"): "a5ba0be052b1e41d262d3299c9e2d94ac3b2a0a5755255e87c12573b7e1cef4b",
+        ("sw-gsemo", "degree"): "b1466df4440d57d9723bbac5201ea85b4c882b141f43cfbe7498f18316aba256",
     }
 
     @pytest.mark.parametrize("algorithm, weights", sorted(PINNED_TRACES))

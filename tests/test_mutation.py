@@ -1,5 +1,4 @@
 import copy
-import gc
 import itertools
 import math
 from collections import Counter
@@ -10,7 +9,6 @@ import pytest
 from ccsubmod import Evaluator, Instance, ParetoArchive, SurrogateKind, make_degree_weights, make_rng
 from ccsubmod.algorithms import (
     Individual,
-    _index_draw,
     _mutation_positions,
     _sliding_select,
     _spawn_child,
@@ -151,69 +149,11 @@ class TestRandomStream:
                 assert offspring(counts, positions) == block_mutation_positions(n, reference, count)
                 assert rng.bit_generator.state == reference.bit_generator.state
 
-    @pytest.mark.parametrize("bound", [*range(1, 17), 40, 1882, 21363, 2**31 - 5, 2**31 + 5, 2**32 - 1])
-    def test_index_draw_matches_integers(self, bound):
-        # Near 2**31 about half of the 32-bit outputs are rejected, so the
-        # rejection loop runs often there.
-        for seed in range(3):
-            rng, reference = make_rng(seed, bound), make_rng(seed, bound)
-            draw = _index_draw(rng)
-            for _ in range(300):
-                got = draw(bound)
-                assert type(got) is int
-                assert got == reference.integers(bound)
-                assert rng.bit_generator.state == reference.bit_generator.state
-
-    def test_index_draw_interleaved_with_other_draws(self):
-        # Other draws take whole 64-bit outputs and leave the spare 32-bit
-        # half buffered in the generator; the index draw must use that half
-        # exactly as integers does.
-        rng, reference = make_rng(17), make_rng(17)
-        draw = _index_draw(rng)
-        others = [
-            lambda g: g.binomial(1882, 1 / 1882),
-            lambda g: g.random(3),
-            lambda g: g.integers(0, 40, size=(4, 5)),
-            lambda g: g.permutation(13),
-        ]
-        for step in range(2000):
-            bound = (1, 2, 7, 1882, 2**31 + 5)[step % 5]
-            for _ in range(step % 3):
-                assert draw(bound) == reference.integers(bound)
-                assert rng.bit_generator.state == reference.bit_generator.state
-            other = others[step % 4]
-            assert np.array_equal(other(rng), other(reference))
-            assert rng.bit_generator.state == reference.bit_generator.state
-
-    def test_index_draw_keeps_its_generator_alive(self):
-        # The draw holds the only reference to its generator here; its
-        # ctypes pointers alone would let the generator be freed and the
-        # memory be reused by the generators made next.
-        draw, reference = _index_draw(make_rng(6)), make_rng(6)
-        gc.collect()
-        others = [make_rng(i) for i in range(50)]
-        assert [draw(1882) for _ in range(100)] == [reference.integers(1882) for _ in range(100)]
-        del others
-
-    @pytest.mark.parametrize("bound", [2**32, 2**32 + 1, 2**40, 0, -3])
-    def test_index_draw_rejects_bounds_out_of_range(self, bound):
-        rng = make_rng(4)
-        before = rng.bit_generator.state
-        with pytest.raises(ValueError):
-            _index_draw(rng)(bound)
-        assert rng.bit_generator.state == before
-
-    def test_uniform_member_picks_as_integers(self):
-        archive = ParetoArchive()
-        rng, reference = make_rng(8), make_rng(8)
-        draw = _index_draw(rng)
-        for size in range(1, 60):
-            archive.insert(Individual(state=None, size=0, expected=0.0, g1=float(size), g2=float(size)))
-            assert len(archive) == size
-            for _ in range(5):
-                picked = archive.uniform_member(draw)
-                assert picked is archive.members[reference.integers(size)]
-                assert rng.bit_generator.state == reference.bit_generator.state
+    @pytest.mark.parametrize("m", [1, 2, 3, 86, 2097, 2**31 + 5, 2**32 - 1])
+    def test_largest_uniform_picks_the_last_of_m(self, m):
+        # The archive loop picks member int(u * m) of m with u from
+        # rng.random, at most the largest double below 1.
+        assert int(math.nextafter(1.0, 0.0) * m) == m - 1
 
     def test_sliding_select_picks_as_integers(self):
         # Several members per unit of g2, so windows hold 0 to 4 members.
@@ -222,19 +162,17 @@ class TestRandomStream:
             archive.insert(Individual(state=None, size=0, expected=0.0, g1=float(i), g2=0.3 * i))
         members = archive.members
         t_max, budget = 500, 18.0
-        rng, reference = make_rng(9), make_rng(9)
-        draw = _index_draw(rng)
+        uniforms = make_rng(9).random(2 * t_max).tolist()
         occupancies = set()
-        for t in [*range(1, t_max + 1), *range(t_max, 0, -7)]:
-            chosen, in_window, occ = _sliding_select(archive, t, t_max, budget, draw)
+        for t, u in zip([*range(1, t_max + 1), *range(t_max, 0, -7)], uniforms):
+            chosen, in_window, occ = _sliding_select(archive, t, t_max, budget, u)
             c_hat = t / t_max * budget
             i0, i1 = archive.index_range(math.floor(c_hat), math.ceil(c_hat))
             if i1 > i0:
-                expected = members[i0 + reference.integers(i1 - i0)]
+                expected = members[i0 + int(u * (i1 - i0))]
             else:
                 expected = members[i0 - 1]
             assert chosen is expected
             assert (in_window, occ) == (i1 > i0, i1 - i0)
-            assert rng.bit_generator.state == reference.bit_generator.state
             occupancies.add(occ)
         assert occupancies >= {0, 1, 3, 4}

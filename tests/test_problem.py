@@ -69,10 +69,17 @@ class TestDefaultBudgets:
             (4158, [64, 207, 415]),
             (21363, [146, 1068, 2136]),
             (400, [20, 20, 40]),
+            (20, [4, 1, 2]),
         ],
     )
     def test_budget_grid(self, n, expected):
         assert default_budgets(n) == expected
+
+    @pytest.mark.parametrize("n", [19, 10, 1, 0])
+    def test_budget_grid_needs_twenty_nodes(self, n):
+        # Below n = 20 the budget n // 20 is 0, which no instance accepts.
+        with pytest.raises(ValueError, match=f"needs n >= 20 .* has n = {n};"):
+            default_budgets(n)
 
 
 class TestInstance:
