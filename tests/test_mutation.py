@@ -155,6 +155,26 @@ class TestRandomStream:
         # rng.random, at most the largest double below 1.
         assert int(math.nextafter(1.0, 0.0) * m) == m - 1
 
+    @pytest.mark.parametrize("occ", [*range(1, 17), 40, 1882])
+    def test_window_pick_is_uniform_over_its_members(self, occ):
+        # Members below, in and above the window [5, 6] of c = 5.5; every
+        # uniform picks a window member, each equally often (Pearson
+        # chi-square).
+        archive = ParetoArchive()
+        g2s = [1.0, 2.0, 3.0, 4.0, *(5 + j / occ for j in range(occ)), 6.5]
+        for g1, g2 in enumerate(g2s):
+            archive.insert(Individual(state=None, size=0, expected=0.0, g1=float(g1), g2=g2))
+        index = {id(m): i for i, m in enumerate(archive.members)}
+        draws = max(20_000, 50 * occ)
+        seen = Counter()
+        for u in make_rng(43, occ).random(draws).tolist():
+            chosen, in_window, got_occ = _sliding_select(archive, 550, 1000, 10.0, u)
+            assert (in_window, got_occ) == (True, occ)
+            seen[index[id(chosen)] - 4] += 1
+        assert set(seen) == set(range(occ))
+        if occ > 1:
+            assert chi2_p([seen[j] for j in range(occ)], np.full(occ, draws / occ)) > 1e-3, occ
+
     def test_sliding_select_picks_as_integers(self):
         # Several members per unit of g2, so windows hold 0 to 4 members.
         archive = ParetoArchive()
